@@ -229,11 +229,15 @@ def write_csv(data: Dataset, path, header: bool = False) -> None:
             fh.write(",".join(cells) + "\n")
 
 
-def load_csv(path, header: bool = False) -> Dataset:
+def load_csv(path, header: bool = False,
+             num_classes: int | None = None) -> Dataset:
     """Read a dataset written in the write_csv layout.
 
-    num_classes is taken as the maximum label seen.  Any malformed cell
-    raises DataError naming the 1-based line number.
+    ``num_classes`` is the class count of the dataset; labels above it
+    are rejected.  None takes the maximum label seen, which is wrong for
+    a file that happens to lack the top class (a small test set), so
+    callers that know the count pass it.  Any malformed cell raises
+    DataError naming the 1-based line number.
     """
     rows = []
     labels = []
@@ -263,6 +267,10 @@ def load_csv(path, header: bool = False) -> Dataset:
             raise DataError(f"{path} line {lineno}: label must be an integer") from None
         if lab < 1:
             raise DataError(f"{path} line {lineno}: labels start at 1")
+        if num_classes is not None and lab > num_classes:
+            raise DataError(
+                f"{path} line {lineno}: label {lab} exceeds num_classes={num_classes}"
+            )
         if not all(math.isfinite(v) for v in feats):
             raise DataError(f"{path} line {lineno}: non-finite feature")
         rows.append(feats)
@@ -271,4 +279,5 @@ def load_csv(path, header: bool = False) -> Dataset:
         raise DataError(f"{path}: no data rows")
     features = np.array(rows, dtype=np.float64)
     labs = np.array(labels, dtype=np.int64)
-    return Dataset(features, labs, int(labs.max()))
+    k = int(labs.max()) if num_classes is None else num_classes
+    return Dataset(features, labs, k)

@@ -376,8 +376,9 @@ def prepare_seed(cfg: ExperimentConfig, seed: int,
         pool = generate_gaussian_mixture(replace(cfg.gen, seed=derive_seed(seed, "data")))
         test = generate_gaussian_mixture(replace(cfg.gen, seed=derive_seed(seed, "test")))
     else:
-        pool = load_csv(cfg.pool_csv, header=cfg.csv_header)
-        test = load_csv(cfg.test_csv, header=cfg.csv_header)
+        k = cfg.arch.num_classes
+        pool = load_csv(cfg.pool_csv, header=cfg.csv_header, num_classes=k)
+        test = load_csv(cfg.test_csv, header=cfg.csv_header, num_classes=k)
     if pool.input_dim != cfg.arch.input_dim:
         raise ValueError("pool feature width does not match arch.input_dim")
     if pool.num_classes != cfg.arch.num_classes:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .data import Dataset
 from .models import Model, forward_log_probs, forward_probs
@@ -97,10 +96,28 @@ def attack_auc(scores: AttackScores) -> float:
     groups gives aucs that sum to exactly 100.
     """
     m, n = scores.member_scores, scores.nonmember_scores
-    ranks = rankdata(np.concatenate([m, n]), method="average")
+    ranks = _midranks(np.concatenate([m, n]))
     # rank sum minus its minimum counts won pairs (ties as 0.5)
     u = ranks[: m.size].sum() - m.size * (m.size + 1) / 2.0
     return 100.0 * u / (m.size * n.size)
+
+
+def _midranks(v: np.ndarray) -> np.ndarray:
+    """1-based ranks with ties sharing their mean rank (exact).
+
+    A run of c equal values starting at 0-based sorted position i gets
+    i + (c + 1) / 2, a half-integer, so every rank is exact in float64.
+    Any NaN makes every rank NaN, as an AUC of NaN scores is undefined.
+    """
+    if np.isnan(v).any():
+        return np.full(v.size, np.nan)
+    order = np.argsort(v, kind="stable")
+    sorted_v = v[order]
+    starts = np.flatnonzero(np.r_[True, sorted_v[1:] != sorted_v[:-1]])
+    counts = np.diff(np.r_[starts, v.size])
+    ranks = np.empty(v.size)
+    ranks[order] = np.repeat(starts + (counts + 1) / 2.0, counts)
+    return ranks
 
 
 def js_divergence(p: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -6,6 +6,16 @@ float64 vector so that optimizers, checkpoints, and gradient checks all
 operate on one object.  Every loss used anywhere in the package is
 computed here together with its closed-form gradient; there is no
 autodiff and no approximation.
+
+All gradients come from one private core, ``_grad``.  It trusts its
+inputs, apart from the soft target's length: ``loss_and_grad``
+validates one batch and then calls it, while
+``train`` and the unlearning loops validate their whole index set once
+on entry (``_loop_rows``) and call it once per step.  Log-probabilities
+are z - lse(z) per row, with lse(z) = log1p(s / m) + log(m) + c, where
+c is the row maximum, m the number of entries equal to c and s the sum
+of exp(z - c) over the other entries.  This is scipy's
+``logsumexp`` algorithm in plain numpy and gives its bits exactly.
 """
 
 from __future__ import annotations
@@ -13,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 ARCH_KINDS = ("linear", "mlp1")
 ACTIVATIONS = ("tanh", "relu")
@@ -175,8 +184,32 @@ def forward_logits(model: Model, x: np.ndarray) -> np.ndarray:
 
 def forward_log_probs(model: Model, x: np.ndarray) -> np.ndarray:
     """Row-wise log softmax of the logits."""
-    logits = forward_logits(model, x)
-    return logits - logsumexp(logits, axis=1, keepdims=True)
+    return _log_softmax(forward_logits(model, x))
+
+
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    """``logits - logsumexp(logits)`` per row.
+
+    The log-sum-exp follows scipy 1.17's ``logsumexp`` step for step, so
+    the result equals ``logits - scipy.special.logsumexp(logits, axis=1,
+    keepdims=True)`` bit for bit.  With c the row maximum, m the number
+    of entries equal to c and s the sum of exp(z - c) over the other
+    entries, lse = log1p(s / m) + log(m) + c, added in that order.  Rows
+    where that is not finite fall back to log(sum(exp(z))), as scipy's
+    do.
+    """
+    c = logits.max(axis=1, keepdims=True)
+    at_max = logits == c
+    e = np.exp(logits - c)
+    e[at_max] = 0.0
+    m = at_max.sum(axis=1, keepdims=True, dtype=np.float64)
+    lse = np.log1p(e.sum(axis=1, keepdims=True) / m) + np.log(m) + c
+    finite = np.isfinite(lse)
+    if not finite.all():
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            direct = np.log(np.exp(logits).sum(axis=1, keepdims=True))
+        lse = np.where(finite, lse, direct)
+    return logits - lse
 
 
 def forward_probs(model: Model, x: np.ndarray) -> np.ndarray:
@@ -249,6 +282,9 @@ class LossSpec:
             object.__setattr__(self, "soft_target", t)
 
 
+HARD_LABEL_KINDS = ("ce_hard", "neg_ce_hard")
+
+
 def _check_labels(y, num_classes: int, n: int) -> np.ndarray:
     y = np.asarray(y)
     if y.shape != (n,):
@@ -259,47 +295,34 @@ def _check_labels(y, num_classes: int, n: int) -> np.ndarray:
     return y
 
 
-def loss_and_grad(model: Model, x: np.ndarray, y, spec: LossSpec):
-    """Loss value and exact gradient d loss / d theta.
+def _grad(model: Model, x: np.ndarray, y0, spec: LossSpec):
+    """The gradient core: log-probabilities and exact d loss / d theta.
 
-    Parameters
-    ----------
-    model : Model
-    x : array (batch, input_dim)
-    y : integer labels in [1, num_classes] for the hard-label losses,
-        ignored (may be None) for ce_soft / kl_to_target
-    spec : LossSpec
-
-    Returns
-    -------
-    (float, np.ndarray) with the gradient flat in theta layout.
+    Only the soft target's length is checked here, as it can change
+    every step.  ``x`` must be a float64 (batch, input_dim) array and
+    ``y0`` the zero-based int64 labels of the batch for the hard-label
+    kinds (ignored otherwise); see ``loss_and_grad`` for the checks
+    every caller must have made.  With p the softmax and t the per-row
+    target (one-hot label or the soft target), the logit gradient is
+    (p - t) / batch, negated for neg_ce_hard, and is back-propagated
+    through the layers.  The L1 subgradient l1_weight * sign(theta) is
+    added last.
     """
-    x = _check_inputs(model, x)
     n, k = x.shape[0], model.arch.num_classes
     logits, z1, a1 = _forward_cached(model, x)
-    log_p = logits - logsumexp(logits, axis=1, keepdims=True)
-    probs = np.exp(log_p)
-
-    if spec.kind in ("ce_hard", "neg_ce_hard"):
-        y0 = _check_labels(y, k, n) - 1
-        loss = -float(np.mean(log_p[np.arange(n), y0]))
-        target = np.zeros((n, k))
-        target[np.arange(n), y0] = 1.0
+    log_p = _log_softmax(logits)
+    # dz starts as the probabilities; subtracting the target in place
+    # gives the same bits as subtracting a dense target array
+    dz = np.exp(log_p)
+    if spec.kind in HARD_LABEL_KINDS:
+        dz[np.arange(n), y0] -= 1.0
     else:
         q = spec.soft_target
         if q.shape[0] != k:
             raise ValueError("soft_target length must equal num_classes")
-        loss = -float(np.mean(log_p @ q))
-        if spec.kind == "kl_to_target":
-            # KL(q||p) = CE(q,p) - H(q); the entropy term is constant in
-            # theta so the gradient is identical to ce_soft.
-            pos = q > 0.0
-            loss += float(np.sum(q[pos] * np.log(q[pos])))
-        target = np.broadcast_to(q, (n, k))
-
-    dz = (probs - target) / n
+        dz -= q
+    dz /= n
     if spec.kind == "neg_ce_hard":
-        loss = -loss
         dz = -dz
 
     grad = np.empty_like(model.theta)
@@ -321,9 +344,72 @@ def loss_and_grad(model: Model, x: np.ndarray, y, spec: LossSpec):
         grad[o3:] = dz.sum(axis=0)
 
     if spec.l1_weight > 0.0:
-        loss += spec.l1_weight * float(np.sum(np.abs(model.theta)))
         grad += spec.l1_weight * np.sign(model.theta)
+    return log_p, grad
+
+
+def loss_and_grad(model: Model, x: np.ndarray, y, spec: LossSpec):
+    """Loss value and exact gradient d loss / d theta.
+
+    Checks the batch (2-d, non-empty, input_dim features; labels 1-d,
+    one per row and in [1, num_classes] for the hard-label kinds; a
+    soft target of length num_classes), then takes the gradient from
+    the shared core ``_grad`` and adds the loss value.  Log-probabilities
+    are z - lse(z) with the scipy-exact log-sum-exp of ``_log_softmax``.
+    The training loops call the core directly after checking their
+    whole index set once, so both paths give the same bits.
+
+    Parameters
+    ----------
+    model : Model
+    x : array (batch, input_dim)
+    y : integer labels in [1, num_classes] for the hard-label losses,
+        ignored (may be None) for ce_soft / kl_to_target
+    spec : LossSpec
+
+    Returns
+    -------
+    (float, np.ndarray) with the gradient flat in theta layout.
+    """
+    x = _check_inputs(model, x)
+    n = x.shape[0]
+    hard = spec.kind in HARD_LABEL_KINDS
+    y0 = _check_labels(y, model.arch.num_classes, n) - 1 if hard else None
+    log_p, grad = _grad(model, x, y0, spec)
+
+    if hard:
+        loss = -float(np.mean(log_p[np.arange(n), y0]))
+    else:
+        q = spec.soft_target
+        loss = -float(np.mean(log_p @ q))
+        if spec.kind == "kl_to_target":
+            # KL(q||p) = CE(q,p) - H(q); the entropy term is constant in
+            # theta so the gradient is identical to ce_soft.
+            pos = q > 0.0
+            loss += float(np.sum(q[pos] * np.log(q[pos])))
+    if spec.kind == "neg_ce_hard":
+        loss = -loss
+    if spec.l1_weight > 0.0:
+        loss += spec.l1_weight * float(np.sum(np.abs(model.theta)))
     return loss, grad
+
+
+def _loop_rows(model: Model, data, spec: LossSpec, *index_sets):
+    """Check a training loop's rows once; returns (features, y0).
+
+    Applies to every row of the given index sets what ``loss_and_grad``
+    checks per batch: the feature width, and for the hard-label kinds
+    labels in [1, num_classes].  ``y0`` holds the zero-based labels of
+    the whole dataset (None for the soft-target kinds), so a loop
+    indexes both arrays with its batch and calls ``_grad`` directly.
+    """
+    x = _check_inputs(model, data.features)
+    if spec.kind not in HARD_LABEL_KINDS:
+        return x, None
+    k = model.arch.num_classes
+    for idx in index_sets:
+        _check_labels(data.labels[idx], k, idx.size)
+    return x, np.asarray(data.labels).astype(np.int64) - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -390,7 +476,10 @@ def train(model: Model, data, indices, cfg: TrainConfig,
     The default loss is hard-label cross-entropy; other LossSpec kinds
     reuse the identical schedule, which the unlearning methods rely on.
     epochs == 0 returns the model unchanged.  Identical arguments always
-    produce an identical parameter vector.
+    produce an identical parameter vector, the same one a loop of
+    ``loss_and_grad`` and ``sgd_step`` over the same batches gives: the
+    features and labels of ``indices`` are checked once before the
+    first step instead of once per batch.
     """
     if loss is None:
         loss = LossSpec("ce_hard")
@@ -399,6 +488,7 @@ def train(model: Model, data, indices, cfg: TrainConfig,
         raise ValueError("cannot train on an empty index set")
     if cfg.epochs == 0:
         return model
+    x, y0 = _loop_rows(model, data, loss, indices)
     rng = np.random.default_rng(cfg.seed)
     opt = init_opt_state(model, cfg.lr, cfg.momentum)
     for _ in range(cfg.epochs):
@@ -406,9 +496,8 @@ def train(model: Model, data, indices, cfg: TrainConfig,
         shuffled = indices[order]
         for start in range(0, shuffled.size, cfg.batch_size):
             batch = shuffled[start : start + cfg.batch_size]
-            xb = data.features[batch]
-            yb = data.labels[batch]
-            _, grad = loss_and_grad(model, xb, yb, loss)
+            yb = None if y0 is None else y0[batch]
+            _, grad = _grad(model, x[batch], yb, loss)
             model, opt = sgd_step(model, grad, opt)
     return model
 

@@ -24,6 +24,16 @@ class ToyTask:
             ul.init_model(self.arch, seed=7), self.pool, self.train_idx,
             ul.TrainConfig(epochs=30, batch_size=16, lr=0.1, seed=3))
 
+    def pool_with_label_four(self, row):
+        """The pool as a 4-class dataset whose only label 4 is at ``row``."""
+        labels = self.pool.labels.copy()
+        labels[row] = 4
+        return ul.Dataset(self.pool.features, labels, 4)
+
+    def narrow_pool(self):
+        """The pool without its last feature column."""
+        return ul.Dataset(self.pool.features[:, :3], self.pool.labels, 3)
+
 
 @pytest.fixture(scope="session")
 def toy():

@@ -294,3 +294,12 @@ def test_load_csv_errors_name_the_line(tmp_path):
     bad.write_text("")
     with pytest.raises(DataError):
         ul.load_csv(bad)
+
+
+def test_load_csv_takes_the_class_count_it_is_given(tmp_path):
+    path = tmp_path / "two.csv"
+    path.write_text("0.0,1.0,1\n1.0,0.0,2\n")
+    assert ul.load_csv(path, num_classes=3).num_classes == 3
+    path.write_text("0.0,1.0,1\n1.0,0.0,4\n")
+    with pytest.raises(DataError, match="line 2: label 4 exceeds num_classes=3"):
+        ul.load_csv(path, num_classes=3)

@@ -1,6 +1,7 @@
 """Harness: seeds, config serialization, selection, runs, reports."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -413,3 +414,19 @@ def test_parallel_run_matches_serial(tmp_path, tiny_cfg, tiny_run):
     ul.write_report(parallel, b)
     for name in ("metrics.csv", "aggregated.csv", "manifest.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_csv_test_set_without_the_top_class_runs(tmp_path, tiny_cfg):
+    # a small test CSV may lack the highest class; the class count comes
+    # from the architecture, not from the labels one file happens to hold
+    pool = ul.generate_gaussian_mixture(replace(tiny_cfg.gen, seed=5))
+    test = ul.generate_gaussian_mixture(replace(tiny_cfg.gen, seed=6))
+    keep = test.labels < 3
+    ul.write_csv(pool, tmp_path / "pool.csv")
+    ul.write_csv(ul.Dataset(test.features[keep], test.labels[keep], 2),
+                 tmp_path / "test.csv")
+    cfg = replace(tiny_cfg, gen=None, pool_csv=str(tmp_path / "pool.csv"),
+                  test_csv=str(tmp_path / "test.csv"), seeds=(0,))
+    result = ul.run_experiment(cfg)
+    assert result.failures == ()
+    assert len(result.rows) == 2 + len(cfg.methods)

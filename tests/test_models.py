@@ -1,12 +1,18 @@
 """Model core: forward pass, losses and gradients, SGD, training, checkpoints."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import unlearnlab as ul
-from unlearnlab.models import forward_log_probs
+from unlearnlab.models import _log_softmax, forward_log_probs
 
 
 def random_model(rng, kind="linear", d=3, k=3, h=5, activation="tanh"):
@@ -323,6 +329,105 @@ def test_train_rejects_empty_indices(toy):
     with pytest.raises(ValueError):
         ul.train(toy.base, toy.pool, np.array([], dtype=int),
                  ul.TrainConfig(epochs=1, batch_size=4, lr=0.1))
+
+
+# ------------------------------------------------- log-softmax and fast loops
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def logit_matrices():
+    shapes = st.tuples(st.integers(1, 8), st.integers(2, 12))
+    plain = st.floats(-60.0, 60.0)
+    huge = st.floats(-1e300, 1e300)
+    # few distinct values, so row maxima are often tied
+    tied = st.sampled_from([-3.0, 0.0, 0.5, 2.0])
+    return shapes.flatmap(lambda shape: st.one_of(
+        arrays(np.float64, shape, elements=plain),
+        arrays(np.float64, shape, elements=huge),
+        arrays(np.float64, shape, elements=tied),
+    ))
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(logit_matrices())
+def test_log_softmax_is_bitwise_scipy(logits):
+    special = pytest.importorskip("scipy.special")
+    with np.errstate(all="ignore"):
+        want = logits - special.logsumexp(logits, axis=1, keepdims=True)
+        got = _log_softmax(logits)
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_log_softmax_non_finite_rows_match_scipy():
+    special = pytest.importorskip("scipy.special")
+    inf, nan = np.inf, np.nan
+    logits = np.array([[inf, 0.0, 1.0], [-inf, -inf, -inf], [nan, 0.0, 1.0],
+                       [1e308, 1e308, 1e308], [-inf, 2.0, 2.0]])
+    with np.errstate(all="ignore"):
+        want = logits - special.logsumexp(logits, axis=1, keepdims=True)
+        got = _log_softmax(logits)
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_import_leaves_scipy_unloaded():
+    code = ("import sys, unlearnlab; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    # import this checkout's package, not whichever one is installed
+    src = os.path.dirname(os.path.dirname(ul.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(kind=st.sampled_from(["linear", "tanh", "relu"]),
+       d=st.integers(1, 5), k=st.integers(2, 4), h=st.integers(1, 6),
+       batch_size=st.integers(1, 9), epochs=st.integers(1, 3),
+       loss_kind=st.sampled_from(["ce_hard", "neg_ce_hard"]),
+       l1_weight=st.sampled_from([0.0, 0.01]),
+       momentum=st.sampled_from([0.0, 0.9]), seed=st.integers(0, 2**16))
+def test_train_is_bitwise_the_public_loop(kind, d, k, h, batch_size, epochs,
+                                          loss_kind, l1_weight, momentum, seed):
+    # train checks its rows once and calls the gradient core; a loop of
+    # the public, per-batch-checked loss_and_grad must give the same bits
+    if kind == "linear":
+        arch = ul.ArchitectureSpec("linear", d, k)
+    else:
+        arch = ul.ArchitectureSpec("mlp1", d, k, hidden_dim=h, activation=kind)
+    data = ul.generate_gaussian_mixture(
+        ul.GenSpec(num_classes=k, input_dim=d, samples_per_class=6, seed=seed))
+    indices = np.random.default_rng(seed).permutation(data.num_samples)[: 4 * k]
+    model = ul.init_model(arch, seed=seed)
+    cfg = ul.TrainConfig(epochs=epochs, batch_size=batch_size, lr=0.05,
+                         momentum=momentum, seed=seed)
+    spec = ul.LossSpec(loss_kind, l1_weight=l1_weight)
+
+    got = ul.train(model, data, indices, cfg, loss=spec)
+
+    rng = np.random.default_rng(cfg.seed)
+    opt = ul.init_opt_state(model, cfg.lr, cfg.momentum)
+    want = model
+    for _ in range(cfg.epochs):
+        shuffled = indices[rng.permutation(indices.size)]
+        for start in range(0, shuffled.size, cfg.batch_size):
+            batch = shuffled[start : start + cfg.batch_size]
+            _, grad = ul.loss_and_grad(want, data.features[batch],
+                                       data.labels[batch], spec)
+            want, opt = ul.sgd_step(want, grad, opt)
+    assert np.array_equal(_bits(got.theta), _bits(want.theta))
+
+
+def test_train_checks_every_row_before_the_first_step(toy):
+    cfg = ul.TrainConfig(epochs=1, batch_size=16, lr=0.1, seed=0)
+    bad_label = toy.pool_with_label_four(toy.train_idx[-1])
+    with pytest.raises(ValueError, match=r"labels must lie in \[1, 3\]"):
+        ul.train(toy.base, bad_label, toy.train_idx, cfg)
+    with pytest.raises(ValueError, match="3 features, model expects 4"):
+        ul.train(toy.base, toy.narrow_pool(), toy.train_idx, cfg)
 
 
 # ------------------------------------------------------------------ checkpoint

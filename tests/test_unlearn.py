@@ -259,3 +259,34 @@ def test_unlearn_config_validation():
         UnlearnConfig(method="regun", lr=0.1, gamma=-0.1)
     with pytest.raises(ValueError):
         UnlearnConfig(method="regun", lr=0.1, num_matched=0)
+
+
+# ------------------------------------------------------------ entry checks
+
+
+@pytest.mark.parametrize("method", ["regun", "neggrad_plus"])
+@pytest.mark.parametrize("split", ["forget", "retain"])
+def test_paired_methods_check_every_label_on_entry(method, split, toy):
+    # one bad retain row is rarely sampled in a batch-1 epoch, so only a
+    # check over the whole index set finds it before the first step
+    cfg = cfg_for(method, toy, batch_size=1)
+    bad = toy.pool_with_label_four(getattr(toy.splits, split)[0])
+    with pytest.raises(ValueError, match=r"labels must lie in \[1, 3\]"):
+        ul.unlearn(toy.base, toy.splits, bad, cfg)
+
+
+@pytest.mark.parametrize("method", ["regun", "neggrad_plus"])
+def test_paired_methods_check_feature_width(method, toy):
+    cfg = cfg_for(method, toy)
+    with pytest.raises(ValueError, match="3 features, model expects 4"):
+        ul.unlearn(toy.base, toy.splits, toy.narrow_pool(), cfg)
+
+
+@pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+def test_neggrad_plus_divergence_still_stops_at_the_step_check(toy):
+    arch = ul.ArchitectureSpec("mlp1", 4, 3, hidden_dim=16, activation="relu")
+    model = ul.init_model(arch, seed=5)
+    cfg = cfg_for("neggrad_plus", toy, lr=1e306, batch_size=1, epochs=2,
+                  momentum=0.9)
+    with pytest.raises(ValueError, match="gradient contains non-finite entries"):
+        ul.neggrad_plus(model, toy.splits, toy.pool, cfg)
