@@ -30,6 +30,7 @@ from .harness import (
     prepare_seed,
     read_metrics_csv,
     run_experiment,
+    score_base_and_retrain,
     sweep_tradeoff,
     write_aggregated_csv,
     write_metrics_csv,
@@ -73,8 +74,7 @@ def cmd_train(args) -> int:
 def cmd_unlearn(args) -> int:
     cfg = _config_from_args(args)
     seed = _one_seed(cfg, args)
-    if args.method not in cfg.methods:
-        raise ValueError(f"method {args.method!r} not enabled in config")
+    cfg = _restrict_methods(cfg, args.method)
     ucfg = method_grid_configs(cfg, args.method, seed)[0]
     ctx = prepare_seed(cfg, seed, with_references=False)
     model = unlearn(ctx.base_model, ctx.splits, ctx.pool, ucfg)
@@ -89,14 +89,12 @@ def cmd_evaluate(args) -> int:
     cfg = _config_from_args(args)
     seed = _one_seed(cfg, args)
     ctx = prepare_seed(cfg, seed)
-    retrain_report = evaluate_model("retrain", ctx.retrain_model, ctx)
-    retrain_report = with_gaps(retrain_report, retrain_report)
-    rows = [with_gaps(evaluate_model("base", ctx.base_model, ctx), retrain_report),
-            retrain_report]
+    base, retrain = score_base_and_retrain(ctx)
+    rows = [base, retrain]
     for path in args.checkpoints:
         name = os.path.splitext(os.path.basename(path))[0]
         model = load_checkpoint(path)
-        rows.append(with_gaps(evaluate_model(name, model, ctx), retrain_report))
+        rows.append(with_gaps(evaluate_model(name, model, ctx), retrain))
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "metrics.csv")
     write_metrics_csv(rows, out_path)
@@ -114,34 +112,34 @@ def _restrict_methods(cfg, method):
     return replace(cfg, methods={method: cfg.methods[method]})
 
 
-def cmd_run(args) -> int:
+def _run_from_args(args):
+    """Run the experiment for run/sweep; failed seeds go to stderr."""
     cfg = _config_from_args(args)
     if args.seed is not None:
         cfg = replace(cfg, seeds=(args.seed,))
     cfg = _restrict_methods(cfg, args.method)
     result = run_experiment(cfg, workers=args.workers)
+    for f in result.failures:
+        print(f"seed {f.seed} failed at {f.stage}: {f.error}", file=sys.stderr)
+    return cfg, result
+
+
+def cmd_run(args) -> int:
+    cfg, result = _run_from_args(args)
     paths = write_report(result, args.out)
     for agg in result.aggregates:
         m, s = agg.stats["test_acc"], agg.stats["rmia_auc"]
         w = "" if agg.w is None else f" w={agg.w:g}"
         print(f"{agg.method}{w}: test {m[0]:.2f}+-{m[1]:.2f}  "
               f"rmia {s[0]:.2f}+-{s[1]:.2f}  (n={agg.n_seeds})")
-    for f in result.failures:
-        print(f"seed {f.seed} failed at {f.stage}: {f.error}", file=sys.stderr)
     for path in paths:
         print(f"wrote {path}")
     return 1 if len(result.failures) == len(cfg.seeds) else 0
 
 
 def cmd_sweep(args) -> int:
-    cfg = _config_from_args(args)
-    if args.seed is not None:
-        cfg = replace(cfg, seeds=(args.seed,))
-    cfg = _restrict_methods(cfg, args.method)
-    result = run_experiment(cfg, workers=args.workers)
+    cfg, result = _run_from_args(args)
     if not result.contexts:
-        for f in result.failures:
-            print(f"seed {f.seed} failed at {f.stage}: {f.error}", file=sys.stderr)
         return 1
     points = sweep_tradeoff(cfg, args.method, DEFAULT_SWEEP_WS, result=result)
     paths = write_report(result, args.out, sweep_points=points)

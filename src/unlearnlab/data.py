@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .models import FLOAT_FMT
+
 
 class DataError(ValueError):
     """Malformed dataset file or inconsistent dataset contents."""
@@ -217,14 +219,14 @@ def sample_minibatch(indices, batch_size: int, rng: np.random.Generator) -> np.n
 # CSV rows are the feature columns followed by one integer label column.
 
 def write_csv(data: Dataset, path, header: bool = False) -> None:
-    """Write a dataset as comma-separated text, floats at 17 significant
-    digits so load_csv(write_csv(d)) reproduces d exactly."""
+    """Write a dataset as comma-separated text, floats as FLOAT_FMT (17
+    significant digits) so load_csv(write_csv(d)) reproduces d exactly."""
     with open(path, "w") as fh:
         if header:
             cols = [f"x{j + 1}" for j in range(data.input_dim)] + ["label"]
             fh.write(",".join(cols) + "\n")
         for row, lab in zip(data.features, data.labels):
-            cells = ["%.17g" % v for v in row]
+            cells = [FLOAT_FMT % v for v in row]
             cells.append(str(int(lab)))
             fh.write(",".join(cells) + "\n")
 

@@ -12,10 +12,15 @@ manifest, written so that identical configs produce identical bytes.
 from __future__ import annotations
 
 import json
+import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from functools import partial
+from itertools import product
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -39,14 +44,22 @@ from .metrics import (
     smia_scores,
     with_gaps,
 )
-from .models import ArchitectureSpec, Model, TrainConfig, init_model, train
-from .unlearn import METHODS, UnlearnConfig, unlearn
+from .models import (
+    FLOAT_FMT,
+    ArchitectureSpec,
+    Model,
+    TrainConfig,
+    init_model,
+    train,
+)
+from .unlearn import METHOD_TABLE, METHODS, UnlearnConfig, unlearn
 
 REPORT_FORMAT = "unlearnlab-run v1"
 
-# Methods whose objective actually mixes a forget and a retain term; for
-# the others w is meaningless and collapses to a single grid point.
-W_METHODS = ("regun", "neggrad_plus")
+# Methods whose objective mixes a forget and a retain term, in METHODS
+# order; for the others w is meaningless and collapses to a single grid
+# point.
+W_METHODS = tuple(m for m in METHODS if "w" in METHOD_TABLE[m].axes)
 
 SELECTION_RULE = (
     "argmin over the grid of |forget_acc - val_acc| + "
@@ -84,16 +97,16 @@ def derive_seed(seed: int, stream: str, index: int = 0) -> int:
 class MethodGrid:
     """Hyperparameter grid for one method.
 
-    Only the axes a method actually reads are expanded: lr always, w for
-    the mixed-objective methods, gamma for l1_sparse.  The remaining
+    Only the axes a method actually reads are expanded: lr always, w and
+    gamma when its record in METHOD_TABLE lists them.  The remaining
     loader knobs are fixed per method, not swept: ``batch_size`` (None
     means inherit the base training batch size), ``retain_batch_size``
     and ``num_matched`` (None means the per-step forget batch size).
     """
 
-    lrs: tuple = (0.05,)
-    ws: tuple = (0.5,)
-    gammas: tuple = (0.0,)
+    lrs: tuple[float, ...] = (0.05,)
+    ws: tuple[float, ...] = (0.5,)
+    gammas: tuple[float, ...] = (0.0,)
     batch_size: int | None = None
     retain_batch_size: int | None = None
     num_matched: int | None = None
@@ -138,8 +151,8 @@ class ExperimentConfig:
     forget_fraction: float = 0.1
     base: TrainConfig = TrainConfig(epochs=60, batch_size=64, lr=0.05)
     unlearn_epochs: int = 10
-    methods: dict = field(default_factory=dict)
-    seeds: tuple = (0, 1, 2)
+    methods: dict[str, MethodGrid] = field(default_factory=dict)
+    seeds: tuple[int, ...] = (0, 1, 2)
     rmia_refs: int = 4
 
     def __post_init__(self):
@@ -204,140 +217,119 @@ def default_config() -> ExperimentConfig:
     return ExperimentConfig(arch=arch, gen=gen, base=base, methods=methods)
 
 
-def _grid_to_dict(g: MethodGrid) -> dict:
-    out = {"lrs": list(g.lrs), "ws": list(g.ws), "gammas": list(g.gammas)}
-    for name in ("batch_size", "retain_batch_size", "num_matched"):
-        v = getattr(g, name)
-        if v is not None:
-            out[name] = v
-    return out
+# A config document holds every dataclass field except those the
+# experiment sets itself: per-seed streams come from derive_seed, the
+# generator's shape from arch, and the data source from the "data"
+# object, whose CSV keys name the fields in _CSV_KEYS.
+_DERIVED = {"seed", "gen", "pool_csv", "test_csv", "csv_header"}
+_ARCH_FIELDS = {f.name for f in fields(ArchitectureSpec)}
+_CSV_KEYS = {"pool": "pool_csv", "test": "test_csv", "header": "csv_header"}
+_EXPECTED = {int: "an integer", float: "a finite number", bool: "true or false",
+             str: "a string", tuple: "a list"}
+
+
+def _config_keys(cls) -> dict:
+    """{document key: field name} for the fields of ``cls`` a config holds."""
+    skip = _DERIVED if cls is ArchitectureSpec else _DERIVED | _ARCH_FIELDS
+    return {f.name: f.name for f in fields(cls) if f.name not in skip}
+
+
+def _plain(value):
+    """A config value as JSON: a dataclass becomes an object of its
+    config keys with None knobs left out, a tuple becomes a list."""
+    if is_dataclass(value):
+        return {k: _plain(getattr(value, k)) for k in _config_keys(type(value))
+                if getattr(value, k) is not None}
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in sorted(value.items())}
+    return list(value) if isinstance(value, tuple) else value
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Plain-type mirror of the config, suitable for JSON."""
-    arch = cfg.arch
-    out = {
-        "arch": {
-            "kind": arch.kind,
-            "input_dim": arch.input_dim,
-            "num_classes": arch.num_classes,
-            "hidden_dim": arch.hidden_dim,
-            "activation": arch.activation,
-        },
-        "forget_fraction": cfg.forget_fraction,
-        "base": {
-            "epochs": cfg.base.epochs,
-            "batch_size": cfg.base.batch_size,
-            "lr": cfg.base.lr,
-            "momentum": cfg.base.momentum,
-        },
-        "unlearn_epochs": cfg.unlearn_epochs,
-        "methods": {
-            name: _grid_to_dict(g) for name, g in sorted(cfg.methods.items())
-        },
-        "seeds": list(cfg.seeds),
-        "rmia_refs": cfg.rmia_refs,
-    }
     if cfg.gen is not None:
-        out["data"] = {
-            "source": "gaussian",
-            "samples_per_class": cfg.gen.samples_per_class,
-            "centroid_scale": cfg.gen.centroid_scale,
-            "noise_sigma": cfg.gen.noise_sigma,
-        }
+        data = {"source": "gaussian", **_plain(cfg.gen)}
     else:
-        out["data"] = {
-            "source": "csv",
-            "pool": cfg.pool_csv,
-            "test": cfg.test_csv,
-            "header": cfg.csv_header,
-        }
-    return out
+        data = {"source": "csv",
+                **{k: getattr(cfg, f) for k, f in _CSV_KEYS.items()}}
+    return {**_plain(cfg), "data": data}
+
+
+def _read(cls, doc: dict, defaults, path: str, keys=None) -> dict:
+    """Keyword arguments for ``cls`` from the object ``doc``.
+
+    ``keys`` maps each allowed document key to its field (default
+    ``_config_keys(cls)``); an absent key takes the field's value in
+    ``defaults``.  ``path`` prefixes key names in error messages.
+    """
+    keys = keys or _config_keys(cls)
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        kind = "grid" if cls is MethodGrid else "config"
+        raise ValueError(f"unknown {kind} keys: {[path + k for k in unknown]}")
+    hints = get_type_hints(cls)
+    return {f: _typed(hints[f], doc[k], path + k, getattr(defaults, f))
+            if k in doc else getattr(defaults, f) for k, f in keys.items()}
+
+
+def _typed(hint, value, path: str, default=None):
+    """``value`` checked against a field's type hint.
+
+    int takes JSON ints but not bools, float takes finite ints or floats
+    and stores a float, bool only bools, str only strings.  A tuple comes
+    from a list, a dataclass from an object (absent keys from
+    ``default``), a dict of dataclasses from an object of objects, and
+    ``X | None`` also takes null.  A mismatch raises ValueError naming
+    the key ``path``.
+    """
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is UnionType:
+        return None if value is None else _typed(args[0], value, path, default)
+    if origin is tuple and isinstance(value, list):
+        return tuple(_typed(args[0], v, f"{path}[{i}]")
+                     for i, v in enumerate(value))
+    if origin is dict and isinstance(value, dict):
+        return {k: _typed(args[1], v, f"{path}.{k}", args[1]())
+                for k, v in value.items()}
+    if is_dataclass(hint) and isinstance(value, dict):
+        return hint(**_read(hint, value, default, path + "."))
+    if hint is float and type(value) is int and abs(value) <= sys.float_info.max:
+        value = float(value)
+    if (origin is None and isinstance(value, hint)
+            and isinstance(value, bool) == (hint is bool)
+            and (hint is not float or math.isfinite(value))):
+        return value
+    expected = _EXPECTED.get(origin or hint, "an object")
+    raise ValueError(f"config key {path}: expected {expected}, got {value!r}")
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Build a config from a JSON-style dict, filling defaults.
 
-    Unknown keys raise so typos do not silently fall back to defaults.
+    Unknown keys raise at every level so typos do not silently fall back
+    to defaults, and each value must have its field's type (see
+    ``_typed``); both raise ValueError naming the key.
     """
-    base_cfg = default_config()
-    allowed = {"arch", "data", "forget_fraction", "base", "unlearn_epochs",
-               "methods", "seeds", "rmia_refs"}
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-
-    arch_doc = doc.get("arch", {})
-    arch = ArchitectureSpec(
-        kind=arch_doc.get("kind", base_cfg.arch.kind),
-        input_dim=int(arch_doc.get("input_dim", base_cfg.arch.input_dim)),
-        num_classes=int(arch_doc.get("num_classes", base_cfg.arch.num_classes)),
-        hidden_dim=int(arch_doc.get("hidden_dim", base_cfg.arch.hidden_dim)),
-        activation=arch_doc.get("activation", base_cfg.arch.activation),
-    )
-    train_doc = doc.get("base", {})
-    base = TrainConfig(
-        epochs=int(train_doc.get("epochs", base_cfg.base.epochs)),
-        batch_size=int(train_doc.get("batch_size", base_cfg.base.batch_size)),
-        lr=float(train_doc.get("lr", base_cfg.base.lr)),
-        momentum=float(train_doc.get("momentum", base_cfg.base.momentum)),
-    )
-    methods_doc = doc.get("methods")
-    if methods_doc is None:
-        methods = dict(base_cfg.methods)
-    else:
-        methods = {}
-        for name, g in methods_doc.items():
-            extra = set(g) - {"lrs", "ws", "gammas", "batch_size",
-                              "retain_batch_size", "num_matched"}
-            if extra:
-                raise ValueError(f"method {name!r}: unknown grid keys {sorted(extra)}")
-            methods[name] = MethodGrid(
-                lrs=tuple(g.get("lrs", (0.05,))),
-                ws=tuple(g.get("ws", (0.5,))),
-                gammas=tuple(g.get("gammas", (0.0,))),
-                batch_size=g.get("batch_size"),
-                retain_batch_size=g.get("retain_batch_size"),
-                num_matched=g.get("num_matched"),
-            )
-
-    gen = None
-    pool_csv = test_csv = None
-    csv_header = False
-    data_doc = doc.get("data", {"source": "gaussian"})
-    source = data_doc.get("source", "gaussian")
+    defaults = default_config()
+    if not isinstance(doc, dict):
+        raise ValueError(f"config: expected an object, got {doc!r}")
+    doc = dict(doc)
+    data = doc.pop("data", {})
+    if not isinstance(data, dict):
+        raise ValueError(f"config key data: expected an object, got {data!r}")
+    data = dict(data)
+    source = data.pop("source", "gaussian")
+    kwargs = _read(ExperimentConfig, doc, defaults, "")
     if source == "gaussian":
-        gen = GenSpec(
-            num_classes=arch.num_classes,
-            input_dim=arch.input_dim,
-            samples_per_class=int(
-                data_doc.get("samples_per_class", base_cfg.gen.samples_per_class)
-            ),
-            centroid_scale=float(
-                data_doc.get("centroid_scale", base_cfg.gen.centroid_scale)
-            ),
-            noise_sigma=float(data_doc.get("noise_sigma", base_cfg.gen.noise_sigma)),
-        )
+        arch = kwargs["arch"]
+        shape = {f.name: getattr(arch, f.name) for f in fields(GenSpec)
+                 if f.name in _ARCH_FIELDS}
+        kwargs["gen"] = GenSpec(**shape, **_read(GenSpec, data, defaults.gen, "data."))
     elif source == "csv":
-        pool_csv = data_doc.get("pool")
-        test_csv = data_doc.get("test")
-        csv_header = bool(data_doc.get("header", False))
+        kwargs.update(_read(ExperimentConfig, data, defaults, "data.", _CSV_KEYS))
     else:
         raise ValueError(f"unknown data source {source!r}")
-
-    return ExperimentConfig(
-        arch=arch,
-        gen=gen,
-        pool_csv=pool_csv,
-        test_csv=test_csv,
-        csv_header=csv_header,
-        forget_fraction=float(doc.get("forget_fraction", base_cfg.forget_fraction)),
-        base=base,
-        unlearn_epochs=int(doc.get("unlearn_epochs", base_cfg.unlearn_epochs)),
-        methods=methods,
-        seeds=tuple(doc.get("seeds", base_cfg.seeds)),
-        rmia_refs=int(doc.get("rmia_refs", base_cfg.rmia_refs)),
-    )
+    return ExperimentConfig(**kwargs)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -470,35 +462,46 @@ class SeedOutcome:
     failure: SeedFailure | None
 
 
+_DEFAULT_GRID = MethodGrid()
+
+
 def method_grid_configs(cfg: ExperimentConfig, method: str, seed: int):
-    """The UnlearnConfig list a method's grid expands to, in grid order."""
+    """The UnlearnConfig list a method's grid expands to, in grid order.
+
+    lr is always swept; w and gamma only when the method's record in
+    METHOD_TABLE lists them, else they keep MethodGrid's single default.
+    """
     grid = cfg.methods[method]
-    ws = grid.ws if method in W_METHODS else (0.5,)
-    gammas = grid.gammas if method == "l1_sparse" else (0.0,)
+    axes = METHOD_TABLE[method].axes
+    ws = (grid if "w" in axes else _DEFAULT_GRID).ws
+    gammas = (grid if "gamma" in axes else _DEFAULT_GRID).gammas
     batch_size = grid.batch_size
     if batch_size is None:
         batch_size = cfg.base.batch_size
-    configs = []
-    for lr in grid.lrs:
-        for w in ws:
-            for gamma in gammas:
-                configs.append(UnlearnConfig(
-                    method=method,
-                    lr=lr,
-                    epochs=cfg.unlearn_epochs,
-                    batch_size=batch_size,
-                    retain_batch_size=grid.retain_batch_size,
-                    w=w,
-                    momentum=cfg.base.momentum,
-                    gamma=gamma,
-                    num_matched=grid.num_matched,
-                    seed=derive_seed(seed, "unlearn"),
-                ))
-    return configs
+    return [
+        UnlearnConfig(
+            method=method,
+            lr=lr,
+            epochs=cfg.unlearn_epochs,
+            batch_size=batch_size,
+            retain_batch_size=grid.retain_batch_size,
+            w=w,
+            momentum=cfg.base.momentum,
+            gamma=gamma,
+            num_matched=grid.num_matched,
+            seed=derive_seed(seed, "unlearn"),
+        )
+        for lr, w, gamma in product(grid.lrs, ws, gammas)
+    ]
 
 
-def _report_w(method: str, w: float) -> float | None:
-    return w if method in W_METHODS else None
+def score_base_and_retrain(ctx: SeedContext) -> tuple:
+    """The seed's (base, retrain) report rows, gaps taken against the
+    retrain oracle, so zero for the oracle itself."""
+    retrain = evaluate_model("retrain", ctx.retrain_model, ctx)
+    retrain = with_gaps(retrain, retrain)
+    base = with_gaps(evaluate_model("base", ctx.base_model, ctx), retrain)
+    return base, retrain
 
 
 def _run_seed(cfg: ExperimentConfig, seed: int) -> SeedOutcome:
@@ -507,18 +510,15 @@ def _run_seed(cfg: ExperimentConfig, seed: int) -> SeedOutcome:
     try:
         ctx = prepare_seed(cfg, seed)
         stage = "evaluate"
-        retrain_report = evaluate_model("retrain", ctx.retrain_model, ctx)
-        retrain_report = with_gaps(retrain_report, retrain_report)
-        base_report = with_gaps(evaluate_model("base", ctx.base_model, ctx),
-                                retrain_report)
+        base_report, retrain_report = score_base_and_retrain(ctx)
         grid = []
         for method in sorted(cfg.methods):
             for ucfg in method_grid_configs(cfg, method, seed):
                 stage = f"unlearn:{method}"
                 model = unlearn(ctx.base_model, ctx.splits, ctx.pool, ucfg)
                 stage = f"evaluate:{method}"
-                report = evaluate_model(method, model, ctx,
-                                        w=_report_w(method, ucfg.w))
+                w = ucfg.w if method in W_METHODS else None
+                report = evaluate_model(method, model, ctx, w=w)
                 grid.append(GridResult(ucfg, with_gaps(report, retrain_report)))
         return SeedOutcome(seed, ctx, base_report, retrain_report,
                            tuple(grid), None)
@@ -556,12 +556,9 @@ def select_hyperparams(grid_results, base_val_acc: float) -> dict:
             forget = float(np.mean([g.report.forget_acc for g in results]))
             val = float(np.mean([g.report.val_acc for g in results]))
             score = abs(forget - val) + max(0.0, base_val_acc - val)
-            lr, w, gamma = key
-            ranked.append((score, -val, lr, w, gamma))
-        _, _, lr, w, gamma = min(ranked)
-        selected[method] = replace(
-            combos[(lr, w, gamma)][0].config, seed=0
-        )
+            ranked.append((score, -val) + key)
+        best = min(ranked)[2:]
+        selected[method] = replace(combos[best][0].config, seed=0)
     return selected
 
 
@@ -632,12 +629,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunResult:
     if grid:
         base_val_acc = float(np.mean([o.base.val_acc for o in done]))
         selected = select_hyperparams(grid, base_val_acc)
-        for method in sorted(selected):
-            key = _combo_key(selected[method])
-            for o in done:
-                for gr in o.grid:
-                    if gr.config.method == method and _combo_key(gr.config) == key:
-                        rows.append(gr.report)
+        chosen = {(m, _combo_key(c)) for m, c in selected.items()}
+        rows.extend(gr.report for gr in grid
+                    if (gr.config.method, _combo_key(gr.config)) in chosen)
 
     rows.sort(key=_row_order)
     return RunResult(
@@ -696,49 +690,59 @@ def sweep_tradeoff(cfg: ExperimentConfig, method: str, w_grid,
             report = evaluate_model(method, model, ctx, w=float(w))
             reports.append(with_gaps(report, retrain_rows[seed]))
         stats = aggregate_seeds(reports)
-        points.append(SweepPoint(
-            method=method,
-            w=float(w),
-            n_seeds=len(reports),
-            test_acc_mean=stats["test_acc"][0],
-            test_acc_std=stats["test_acc"][1],
-            rmia_auc_mean=stats["rmia_auc"][0],
-            rmia_auc_std=stats["rmia_auc"][1],
-            gap_tp_mean=stats["gap_tp"][0],
-            gap_tp_std=stats["gap_tp"][1],
-        ))
+        # the statistic fields are named <report field>_mean / _std
+        points.append(SweepPoint(method, float(w), len(reports), **{
+            name: stats[name.rpartition("_")[0]][name.endswith("_std")]
+            for name in SWEEP_HEADER[3:]}))
     return points
 
 
 # ---------------------------------------------------------------------------
-# Report files.  All floats print at 17 significant digits and all row
-# orders are fixed, so identical runs write identical bytes.
+# Report files.  All floats print as FLOAT_FMT (17 significant digits)
+# and all row orders are fixed, so identical runs write identical bytes.
 
-METRICS_HEADER = ("method", "seed", "w") + REPORT_FIELDS
+METRICS_HEADER = tuple(f.name for f in fields(MetricsReport))
 
-SWEEP_HEADER = ("method", "w", "n_seeds", "test_acc_mean", "test_acc_std",
-                "rmia_auc_mean", "rmia_auc_std", "gap_tp_mean", "gap_tp_std")
+SWEEP_HEADER = tuple(f.name for f in fields(SweepPoint))
+
+AGGREGATED_HEADER = ("method", "w", "n_seeds") + tuple(
+    f"{name}_{stat}" for name in REPORT_FIELDS for stat in ("mean", "std"))
+
+# The UnlearnConfig fields the manifest records for each selected method.
+_SELECTED_KEYS = ("lr", "w", "gamma", "epochs", "batch_size", "momentum")
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    text = FLOAT_FMT % value if isinstance(value, float) else str(value)
+    if any(c in text for c in ",\n\r"):
+        raise ValueError(f"CSV cell {text!r} contains a separator character")
+    return text
 
 
-def _aggregated_header() -> tuple:
-    cols = ["method", "w", "n_seeds"]
-    for field_name in REPORT_FIELDS:
-        cols.append(f"{field_name}_mean")
-        cols.append(f"{field_name}_std")
-    return tuple(cols)
+def _write_rows(path, header, rows) -> None:
+    """Write a report CSV: the header, then one line per row of values.
+
+    Floats print as FLOAT_FMT, None as an empty cell, other values with
+    str.  A cell holding ',', '\\n' or '\\r' raises ValueError before the
+    file is opened.
+    """
+    lines = [",".join(header)]
+    lines.extend(",".join(_cell(v) for v in row) for row in rows)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_metrics_csv(rows, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(METRICS_HEADER) + "\n")
-        for r in rows:
-            cells = [r.method, str(r.seed), "" if r.w is None else _fmt(r.w)]
-            cells.extend(_fmt(getattr(r, f)) for f in REPORT_FIELDS)
-            fh.write(",".join(cells) + "\n")
+    _write_rows(path, METRICS_HEADER,
+                ([getattr(r, c) for c in METRICS_HEADER] for r in rows))
+
+
+def _from_cell(hint, cell: str):
+    if get_origin(hint) is UnionType:
+        return None if cell == "" else _from_cell(get_args(hint)[0], cell)
+    return hint(cell)
 
 
 def read_metrics_csv(path):
@@ -747,6 +751,7 @@ def read_metrics_csv(path):
         lines = fh.read().splitlines()
     if not lines or tuple(lines[0].split(",")) != METRICS_HEADER:
         raise ValueError(f"{path}: not a metrics CSV")
+    hints = get_type_hints(MetricsReport)
     rows = []
     for lineno, ln in enumerate(lines[1:], start=2):
         if not ln.strip():
@@ -755,40 +760,20 @@ def read_metrics_csv(path):
         if len(cells) != len(METRICS_HEADER):
             raise ValueError(f"{path} line {lineno}: wrong column count")
         try:
-            rows.append(MetricsReport(
-                method=cells[0],
-                seed=int(cells[1]),
-                w=None if cells[2] == "" else float(cells[2]),
-                **{f: float(v) for f, v in zip(REPORT_FIELDS, cells[3:])},
-            ))
+            rows.append(MetricsReport(**{
+                name: _from_cell(hints[name], cell)
+                for name, cell in zip(METRICS_HEADER, cells)
+            }))
         except ValueError as exc:
             raise ValueError(f"{path} line {lineno}: {exc}") from None
     return rows
 
 
 def write_aggregated_csv(aggregates, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(_aggregated_header()) + "\n")
-        for agg in aggregates:
-            cells = [agg.method, "" if agg.w is None else _fmt(agg.w),
-                     str(agg.n_seeds)]
-            for field_name in REPORT_FIELDS:
-                mean, std = agg.stats[field_name]
-                cells.append(_fmt(mean))
-                cells.append(_fmt(std))
-            fh.write(",".join(cells) + "\n")
-
-
-def write_sweep_csv(points, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(SWEEP_HEADER) + "\n")
-        for p in points:
-            fh.write(",".join([
-                p.method, _fmt(p.w), str(p.n_seeds),
-                _fmt(p.test_acc_mean), _fmt(p.test_acc_std),
-                _fmt(p.rmia_auc_mean), _fmt(p.rmia_auc_std),
-                _fmt(p.gap_tp_mean), _fmt(p.gap_tp_std),
-            ]) + "\n")
+    _write_rows(path, AGGREGATED_HEADER, (
+        [agg.method, agg.w, agg.n_seeds,
+         *(x for name in REPORT_FIELDS for x in agg.stats[name])]
+        for agg in aggregates))
 
 
 def write_report(result: RunResult, out_dir, sweep_points=None) -> list:
@@ -797,43 +782,27 @@ def write_report(result: RunResult, out_dir, sweep_points=None) -> list:
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
-    path = os.path.join(out_dir, "metrics.csv")
-    write_metrics_csv(result.rows, path)
-    written.append(path)
+    def out(name):
+        written.append(os.path.join(out_dir, name))
+        return written[-1]
 
-    path = os.path.join(out_dir, "aggregated.csv")
-    write_aggregated_csv(result.aggregates, path)
-    written.append(path)
-
+    write_metrics_csv(result.rows, out("metrics.csv"))
+    write_aggregated_csv(result.aggregates, out("aggregated.csv"))
     if sweep_points is not None:
-        path = os.path.join(out_dir, "sweep.csv")
-        write_sweep_csv(sweep_points, path)
-        written.append(path)
-
+        _write_rows(out("sweep.csv"), SWEEP_HEADER,
+                    ([getattr(p, c) for c in SWEEP_HEADER] for p in sweep_points))
     manifest = {
         "format": REPORT_FORMAT,
         "config": config_to_dict(result.config),
         "seeds": list(result.config.seeds),
         "selection_rule": SELECTION_RULE,
         "selected": {
-            method: {
-                "lr": ucfg.lr,
-                "w": ucfg.w,
-                "gamma": ucfg.gamma,
-                "epochs": ucfg.epochs,
-                "batch_size": ucfg.batch_size,
-                "momentum": ucfg.momentum,
-            }
+            method: {k: getattr(ucfg, k) for k in _SELECTED_KEYS}
             for method, ucfg in sorted(result.selected.items())
         },
-        "failures": [
-            {"seed": f.seed, "stage": f.stage, "error": f.error}
-            for f in result.failures
-        ],
+        "failures": [asdict(f) for f in result.failures],
     }
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w") as fh:
+    with open(out("manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    written.append(path)
     return written

@@ -9,6 +9,7 @@ is reported in percent except the raw per-sample attack scores.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -179,19 +180,9 @@ class MetricsReport:
                 raise ValueError(f"{field}={v} outside [0, 100]")
 
 
-# Numeric report fields in their fixed file order.
-REPORT_FIELDS = (
-    "retain_acc",
-    "forget_acc",
-    "test_acc",
-    "val_acc",
-    "retain_div",
-    "test_div",
-    "rmia_auc",
-    "smia_auc",
-    "gap_rftp",
-    "gap_tp",
-)
+# Numeric report fields (the float-typed ones) in their fixed file order.
+REPORT_FIELDS = tuple(name for name, hint in get_type_hints(MetricsReport).items()
+                      if hint is float)
 
 
 def gap_report(report: MetricsReport, oracle: MetricsReport):

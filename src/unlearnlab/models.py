@@ -21,6 +21,7 @@ of exp(z - c) over the other entries.  This is scipy's
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import get_type_hints
 
 import numpy as np
 
@@ -28,8 +29,8 @@ ARCH_KINDS = ("linear", "mlp1")
 ACTIVATIONS = ("tanh", "relu")
 LOSS_KINDS = ("ce_hard", "ce_soft", "kl_to_target", "neg_ce_hard")
 
-# Checkpoints print floats with 17 significant digits, which round-trips
-# IEEE-754 doubles exactly.
+# Checkpoints, dataset CSVs and report CSVs print floats with 17
+# significant digits, which round-trips IEEE-754 doubles exactly.
 FLOAT_FMT = "%.17g"
 
 
@@ -510,11 +511,8 @@ def save_checkpoint(model: Model, path) -> None:
     """
     lines = [
         "unlearnlab-checkpoint v1",
-        f"kind={model.arch.kind}",
-        f"input_dim={model.arch.input_dim}",
-        f"num_classes={model.arch.num_classes}",
-        f"hidden_dim={model.arch.hidden_dim}",
-        f"activation={model.arch.activation}",
+        *(f"{name}={getattr(model.arch, name)}"
+          for name in get_type_hints(ArchitectureSpec)),
         f"init_seed={model.init_seed}",
         f"num_params={model.theta.size}",
     ]
@@ -534,13 +532,8 @@ def load_checkpoint(path) -> Model:
         key, _, val = ln.partition("=")
         fields[key] = val
     try:
-        arch = ArchitectureSpec(
-            kind=fields["kind"],
-            input_dim=int(fields["input_dim"]),
-            num_classes=int(fields["num_classes"]),
-            hidden_dim=int(fields["hidden_dim"]),
-            activation=fields["activation"],
-        )
+        arch = ArchitectureSpec(**{name: hint(fields[name]) for name, hint
+                                   in get_type_hints(ArchitectureSpec).items()})
         init_seed = int(fields["init_seed"])
         count = int(fields["num_params"])
     except (KeyError, ValueError) as exc:

@@ -3,7 +3,8 @@
 Every method takes a trained model and the experiment splits and returns
 a new model; nothing is mutated.  All of them run plain momentum SGD so
 that, seed for seed, any two methods differ only in the loss they
-differentiate:
+differentiate, which one MethodSpec record per method in METHOD_TABLE
+describes:
 
   finetune      cross-entropy on retain only
   l1_sparse     finetune plus an L1 penalty on the parameters
@@ -38,12 +39,40 @@ from .models import (
 )
 from .reference import RefDistConfig, build_refdist
 
-METHODS = ("regun", "neggrad", "neggrad_plus", "finetune", "l1_sparse")
-
 # Gradient ascent diverges quickly under a full unlearning budget, so
 # neggrad always runs exactly this many epochs (a zero budget still
 # short-circuits to the identity).
 NEGGRAD_EPOCHS = 2
+
+
+@dataclass(frozen=True)
+class MethodSpec:
+    """What one unlearning method is; the methods differ only in these.
+
+    rows is what each step differentiates: "retain" or "forget" rows
+    through ``train``, or "paired" forget batches each with a fresh
+    retain batch, mixed by w.  forget_loss is the forget rows' LossSpec
+    kind: None (no forget term), "neg_ce_hard" (ascent) or
+    "kl_to_target" (toward the matched reference distribution).  epochs,
+    when set, replaces a non-zero budget.  axes names the UnlearnConfig
+    fields besides lr that the method reads and a grid sweeps.
+    """
+
+    rows: str
+    forget_loss: str | None = None
+    epochs: int | None = None
+    axes: tuple = ()
+
+
+METHOD_TABLE = {
+    "regun": MethodSpec("paired", "kl_to_target", axes=("w",)),
+    "neggrad": MethodSpec("forget", "neg_ce_hard", epochs=NEGGRAD_EPOCHS),
+    "neggrad_plus": MethodSpec("paired", "neg_ce_hard", axes=("w",)),
+    "finetune": MethodSpec("retain"),
+    "l1_sparse": MethodSpec("retain", axes=("gamma",)),
+}
+
+METHODS = tuple(METHOD_TABLE)
 
 
 @dataclass(frozen=True)
@@ -52,10 +81,10 @@ class UnlearnConfig:
 
     w is the retain weight of the two-term objectives: the retain loss
     enters with weight w and the forget term with 1 - w.  gamma is the
-    L1 strength used only by l1_sparse.  num_matched is the reference
-    sample count per batch (None tracks the forget batch size).
-    retain_batch_size defaults to batch_size when None.  Methods without
-    a forget/retain mix ignore w.
+    L1 strength.  A method reads w and gamma only when its record in
+    METHOD_TABLE lists them.  num_matched is the reference sample count
+    per batch (None tracks the forget batch size).  retain_batch_size
+    defaults to batch_size when None.
     """
 
     method: str
@@ -72,18 +101,11 @@ class UnlearnConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown unlearning method {self.method!r}")
-        if not (self.lr > 0.0):
-            raise ValueError("lr must be > 0")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        self.train_config()  # checks epochs, batch_size, lr and momentum
         if self.retain_batch_size is not None and self.retain_batch_size < 1:
             raise ValueError("retain_batch_size must be >= 1")
         if not (0.0 <= self.w <= 1.0):
             raise ValueError("w must lie in [0, 1]")
-        if not (0.0 <= self.momentum < 1.0):
-            raise ValueError("momentum must lie in [0, 1)")
         if self.gamma < 0.0:
             raise ValueError("gamma must be >= 0")
         if self.num_matched is not None and self.num_matched < 1:
@@ -99,20 +121,36 @@ class UnlearnConfig:
         )
 
 
+def _run(name: str, model: Model, splits: DataSplits, data: Dataset,
+         cfg: UnlearnConfig, reference: Model | None = None) -> Model:
+    """Run the method METHOD_TABLE[name] describes."""
+    method = METHOD_TABLE[name]
+    if method.rows == "paired":
+        return _paired_updates(model, splits, data, cfg, method.forget_loss,
+                               model if reference is None else reference)
+    epochs = cfg.epochs
+    if epochs and method.epochs is not None:
+        epochs = method.epochs
+    l1 = cfg.gamma if "gamma" in method.axes else 0.0
+    loss = LossSpec(method.forget_loss or "ce_hard", l1_weight=l1)
+    return train(model, data, getattr(splits, method.rows),
+                 cfg.train_config(epochs), loss=loss)
+
+
 def finetune(model: Model, splits: DataSplits, data: Dataset,
              cfg: UnlearnConfig) -> Model:
     """Continue ordinary training on the retain set only."""
-    return train(model, data, splits.retain, cfg.train_config())
+    return _run("finetune", model, splits, data, cfg)
 
 
 def l1_sparse(model: Model, splits: DataSplits, data: Dataset,
               cfg: UnlearnConfig) -> Model:
     """Finetune on retain with an added gamma * sum(|theta|) penalty.
 
-    gamma == 0 reproduces finetune exactly, bit for bit.
+    gamma == 0 reproduces finetune exactly, bit for bit: both run the
+    same code with the same LossSpec.
     """
-    loss = LossSpec("ce_hard", l1_weight=cfg.gamma)
-    return train(model, data, splits.retain, cfg.train_config(), loss=loss)
+    return _run("l1_sparse", model, splits, data, cfg)
 
 
 def neggrad(model: Model, splits: DataSplits, data: Dataset,
@@ -122,22 +160,19 @@ def neggrad(model: Model, splits: DataSplits, data: Dataset,
     Runs NEGGRAD_EPOCHS epochs whatever budget the config carries,
     except that epochs == 0 stays a no-op like every other method.
     """
-    if cfg.epochs == 0:
-        return model
-    loss = LossSpec("neg_ce_hard")
-    return train(model, data, splits.forget,
-                 cfg.train_config(epochs=NEGGRAD_EPOCHS), loss=loss)
+    return _run("neggrad", model, splits, data, cfg)
 
 
-def _paired_updates(model, splits, data, cfg, forget_spec):
+def _paired_updates(model, splits, data, cfg, forget_loss, reference):
     """Epochs over the forget set with a fresh retain batch per step.
 
     One generator drives everything in a fixed per-step order: the epoch
     shuffle of the forget indices, then for each forget batch the retain
-    batch draw, then whatever sampling ``forget_spec(batch_f, rng)``
-    performs to build the forget batch's LossSpec.  The combined
-    gradient is (1 - w) * forget + w * retain.  Features and labels of
-    the forget and retain sets are checked once, before the first step.
+    batch draw, then, for the "kl_to_target" forget loss, the held-out
+    sampling of build_refdist with the frozen ``reference`` model.  The
+    combined gradient is (1 - w) * forget + w * retain.  Features and
+    labels of the forget and retain sets are checked once, before the
+    first step.
     """
     rng = np.random.default_rng(cfg.seed)
     opt = init_opt_state(model, cfg.lr, cfg.momentum)
@@ -148,6 +183,8 @@ def _paired_updates(model, splits, data, cfg, forget_spec):
     if cfg.epochs == 0:
         return model
     ce = LossSpec("ce_hard")
+    fixed = None if forget_loss == "kl_to_target" else LossSpec(forget_loss)
+    ref_cfg = RefDistConfig(num_matched=cfg.num_matched)
     retain = np.asarray(splits.retain, dtype=np.int64)
     x, y0 = _loop_rows(model, data, ce, forget, retain)
     for _ in range(cfg.epochs):
@@ -155,7 +192,11 @@ def _paired_updates(model, splits, data, cfg, forget_spec):
         for start in range(0, shuffled.size, cfg.batch_size):
             batch_f = shuffled[start : start + cfg.batch_size]
             batch_r = sample_minibatch(retain, retain_bs, rng)
-            spec_f = forget_spec(batch_f, rng)
+            spec_f = fixed
+            if spec_f is None:
+                q = build_refdist(data.labels[batch_f], data, splits.held_out,
+                                  reference, ref_cfg, rng=rng)
+                spec_f = LossSpec("kl_to_target", soft_target=q)
             _, g_f = _grad(model, x[batch_f], y0[batch_f], spec_f)
             _, g_r = _grad(model, x[batch_r], y0[batch_r], ce)
             combined = (1.0 - cfg.w) * g_f + cfg.w * g_r
@@ -166,8 +207,7 @@ def _paired_updates(model, splits, data, cfg, forget_spec):
 def neggrad_plus(model: Model, splits: DataSplits, data: Dataset,
                  cfg: UnlearnConfig) -> Model:
     """Ascent on forget batches mixed with descent on retain batches."""
-    neg = LossSpec("neg_ce_hard")
-    return _paired_updates(model, splits, data, cfg, lambda batch_f, rng: neg)
+    return _run("neggrad_plus", model, splits, data, cfg)
 
 
 def regun(model: Model, splits: DataSplits, data: Dataset,
@@ -184,26 +224,18 @@ def regun(model: Model, splits: DataSplits, data: Dataset,
     model (for example a retrained oracle) without changing anything
     else.
     """
-    ref = model if reference is None else reference
-    ref_cfg = RefDistConfig(num_matched=cfg.num_matched)
-
-    def forget_spec(batch_f, rng):
-        q = build_refdist(data.labels[batch_f], data, splits.held_out,
-                          ref, ref_cfg, rng=rng)
-        return LossSpec("kl_to_target", soft_target=q)
-
-    return _paired_updates(model, splits, data, cfg, forget_spec)
+    return _run("regun", model, splits, data, cfg, reference)
 
 
 def unlearn(model: Model, splits: DataSplits, data: Dataset,
             cfg: UnlearnConfig, reference: Model | None = None) -> Model:
-    """Dispatch on cfg.method (see METHODS)."""
-    if cfg.method == "regun":
-        return regun(model, splits, data, cfg, reference=reference)
-    if cfg.method == "neggrad":
-        return neggrad(model, splits, data, cfg)
-    if cfg.method == "neggrad_plus":
-        return neggrad_plus(model, splits, data, cfg)
-    if cfg.method == "finetune":
-        return finetune(model, splits, data, cfg)
-    return l1_sparse(model, splits, data, cfg)
+    """Dispatch on cfg.method (see METHODS).
+
+    The call goes through the method's module-level function, so a
+    wrapper installed under that name sees it.  ``reference`` reaches
+    only the methods whose forget term distils toward a reference.
+    """
+    fn = globals()[cfg.method]
+    if METHOD_TABLE[cfg.method].forget_loss == "kl_to_target":
+        return fn(model, splits, data, cfg, reference=reference)
+    return fn(model, splits, data, cfg)

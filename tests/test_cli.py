@@ -5,7 +5,7 @@ import json
 import pytest
 
 import unlearnlab as ul
-from unlearnlab.cli import main
+from unlearnlab.cli import build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -131,3 +131,39 @@ def test_forget_fraction_override(cfg_path, tmp_path):
                "--out", str(out)])
     assert rc == 0
     assert (out / "base_seed0.ckpt").exists()
+
+
+@pytest.mark.parametrize("doc", [
+    {"seeds": 3},
+    {"methods": ["regun"]},
+    {"arch": "mlp1"},
+    {"arch": {"hiden_dim": 8}},
+])
+def test_bad_config_values_are_a_clean_error(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_evaluate_rejects_a_separator_in_the_checkpoint_name(cfg_path, tiny_cfg,
+                                                            tmp_path, capsys):
+    ckpt = tmp_path / "a,b.ckpt"
+    ul.save_checkpoint(ul.init_model(tiny_cfg.arch, seed=0), ckpt)
+    out = tmp_path / "eval"
+    rc = main(["evaluate", "--config", cfg_path, "--out", str(out), str(ckpt)])
+    assert rc == 2
+    assert "separator" in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()
+
+
+def test_sweep_offers_exactly_the_w_methods():
+    parser = build_parser()
+    for method in ul.METHODS:
+        argv = ["sweep", "--method", method]
+        if method in ul.harness.W_METHODS:
+            assert parser.parse_args(argv).method == method
+        else:
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)

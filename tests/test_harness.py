@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import unlearnlab as ul
 from unlearnlab import harness
@@ -430,3 +432,131 @@ def test_csv_test_set_without_the_top_class_runs(tmp_path, tiny_cfg):
     result = ul.run_experiment(cfg)
     assert result.failures == ()
     assert len(result.rows) == 2 + len(cfg.methods)
+
+
+# ------------------------------------------------------- typed config reader
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"arch": {"hiden_dim": 8}}, "arch.hiden_dim"),
+    ({"base": {"epoch": 3}}, "base.epoch"),
+    ({"data": {"samples_per_clas": 3}}, "data.samples_per_clas"),
+    ({"data": {"source": "csv", "pool": "p.csv", "test": "t.csv",
+               "noise_sigma": 1.0}}, "data.noise_sigma"),
+    ({"base": {"seed": 3}}, "base.seed"),
+    ({"data": {"num_classes": 3}}, "data.num_classes"),
+])
+def test_config_from_dict_rejects_unknown_nested_keys(doc, key):
+    with pytest.raises(ValueError, match="unknown config keys") as err:
+        ul.config_from_dict(doc)
+    assert repr(key) in str(err.value)
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"seeds": 3}, "seeds"),
+    ({"methods": {"regun": {"lrs": 0.1}}}, "methods.regun.lrs"),
+    ({"methods": ["regun"]}, "methods"),
+    ({"methods": {"regun": "fast"}}, "methods.regun"),
+    ({"arch": "mlp1"}, "arch"),
+    ({"arch": {"input_dim": 3.7}}, "arch.input_dim"),
+    ({"arch": {"hidden_dim": True}}, "arch.hidden_dim"),
+    ({"arch": {"kind": 1}}, "arch.kind"),
+    ({"seeds": [0.5, 1]}, r"seeds\[0\]"),
+    ({"seeds": [False]}, r"seeds\[0\]"),
+    ({"methods": {"regun": {"batch_size": 1.5}}}, "methods.regun.batch_size"),
+    ({"methods": {"regun": {"ws": ["0.5"]}}}, r"methods.regun.ws\[0\]"),
+    ({"base": {"lr": "0.1"}}, "base.lr"),
+    ({"base": {"lr": 10 ** 400}}, "base.lr"),
+    ({"base": {"lr": float("inf")}}, "base.lr"),
+    ({"methods": {"l1_sparse": {"gammas": [float("nan")]}}},
+     r"methods.l1_sparse.gammas\[0\]"),
+    ({"forget_fraction": True}, "forget_fraction"),
+    ({"data": {"source": "csv", "pool": "p.csv", "test": "t.csv",
+               "header": "false"}}, "data.header"),
+    ({"data": {"source": "csv", "pool": 1, "test": "t.csv"}}, "data.pool"),
+    ({"data": "gaussian"}, "data"),
+])
+def test_config_from_dict_type_checks_every_value(doc, key):
+    with pytest.raises(ValueError, match=f"config key {key}: expected"):
+        ul.config_from_dict(doc)
+
+
+def test_config_from_dict_type_rules_accept():
+    cfg = ul.config_from_dict({
+        "base": {"lr": 1}, "forget_fraction": 0.2,
+        "methods": {"regun": {"lrs": [1], "batch_size": None}},
+        "data": {"source": "csv", "pool": "p.csv", "test": "t.csv",
+                 "header": True}})
+    # an int in a float field is stored as a float, so manifests print 1.0
+    assert type(cfg.base.lr) is float and cfg.base.lr == 1.0
+    assert cfg.methods["regun"].lrs == (1.0,)
+    assert cfg.methods["regun"].batch_size is None
+    assert cfg.csv_header is True and cfg.gen is None
+    with pytest.raises(ValueError, match="config: expected an object"):
+        ul.config_from_dict([1])
+
+
+_floats = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def experiment_configs(draw):
+    kind = draw(st.sampled_from(["linear", "mlp1"]))
+    d, k = draw(st.integers(1, 40)), draw(st.integers(2, 12))
+    arch = ul.ArchitectureSpec(
+        kind, d, k, hidden_dim=0 if kind == "linear" else draw(st.integers(1, 300)),
+        activation=draw(st.sampled_from(["tanh", "relu"])))
+    base = ul.TrainConfig(epochs=draw(st.integers(0, 100)),
+                          batch_size=draw(st.integers(1, 512)),
+                          lr=draw(st.floats(1e-6, 10.0, **_floats)),
+                          momentum=draw(st.floats(0.0, 0.99, **_floats)))
+    knob = st.none() | st.integers(1, 256)
+    methods = {
+        name: MethodGrid(
+            lrs=tuple(draw(st.lists(st.floats(1e-6, 1.0, **_floats), min_size=1, max_size=3))),
+            ws=tuple(draw(st.lists(st.floats(0.0, 1.0, **_floats), min_size=1, max_size=3))),
+            gammas=tuple(draw(st.lists(st.floats(0.0, 1.0, **_floats), min_size=1, max_size=2))),
+            batch_size=draw(knob), retain_batch_size=draw(knob),
+            num_matched=draw(knob))
+        for name in draw(st.lists(st.sampled_from(ul.METHODS), unique=True))
+    }
+    if draw(st.booleans()):
+        source = dict(gen=ul.GenSpec(
+            k, d, draw(st.integers(1, 500)),
+            centroid_scale=draw(st.floats(0.01, 10.0, **_floats)),
+            noise_sigma=draw(st.floats(0.01, 10.0, **_floats))))
+    else:
+        source = dict(pool_csv=draw(st.text(min_size=1)),
+                      test_csv=draw(st.text(min_size=1)),
+                      csv_header=draw(st.booleans()))
+    return ul.ExperimentConfig(
+        arch=arch, base=base, methods=methods, **source,
+        forget_fraction=draw(st.floats(0.01, 0.99, **_floats)),
+        unlearn_epochs=draw(st.integers(0, 50)),
+        seeds=tuple(draw(st.lists(st.integers(0, 2**31), min_size=1,
+                                  max_size=4, unique=True))),
+        rmia_refs=draw(st.integers(1, 8)))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(experiment_configs())
+def test_config_json_round_trip_is_exact(cfg):
+    doc = ul.config_to_dict(cfg)
+    back = ul.config_from_dict(json.loads(json.dumps(doc)))
+    assert ul.config_to_dict(back) == doc
+    assert (back.arch, back.base, back.gen, back.methods) == (
+        cfg.arch, cfg.base, cfg.gen, cfg.methods)
+    assert (back.pool_csv, back.test_csv, back.csv_header) == (
+        cfg.pool_csv, cfg.test_csv, cfg.csv_header)
+    assert (back.forget_fraction, back.unlearn_epochs, back.seeds,
+            back.rmia_refs) == (cfg.forget_fraction, cfg.unlearn_epochs,
+                                cfg.seeds, cfg.rmia_refs)
+
+
+@pytest.mark.parametrize("sep", [",", "\n", "\r"])
+def test_report_csv_rejects_separator_cells(tmp_path, sep):
+    row = make_report(f"a{sep}b", 0, None, forget_acc=80.0, val_acc=80.0)
+    path = tmp_path / "metrics.csv"
+    with pytest.raises(ValueError, match="separator"):
+        write_metrics_csv([row], path)
+    assert not path.exists()

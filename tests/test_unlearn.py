@@ -5,6 +5,7 @@ import pytest
 
 import unlearnlab as ul
 from unlearnlab import LossSpec, UnlearnConfig
+from unlearnlab.unlearn import METHOD_TABLE
 
 
 def cfg_for(method, toy, **overrides):
@@ -290,3 +291,30 @@ def test_neggrad_plus_divergence_still_stops_at_the_step_check(toy):
                   momentum=0.9)
     with pytest.raises(ValueError, match="gradient contains non-finite entries"):
         ul.neggrad_plus(model, toy.splits, toy.pool, cfg)
+
+
+# ----------------------------------------------------------- method table
+
+
+AXIS_CHANGES = {"w": (0.5, 0.9), "gamma": (0.0, 0.01)}
+
+
+@pytest.mark.parametrize("method", ul.METHODS)
+@pytest.mark.parametrize("axis", sorted(AXIS_CHANGES))
+def test_a_method_reads_exactly_the_axes_its_record_lists(method, axis, toy):
+    # an axis the record lists moves theta; any other leaves every bit
+    thetas = [
+        ul.unlearn(toy.base, toy.splits, toy.pool,
+                   cfg_for(method, toy, epochs=1, batch_size=8, momentum=0.9,
+                           **{axis: value})).theta
+        for value in AXIS_CHANGES[axis]
+    ]
+    listed = axis in METHOD_TABLE[method].axes
+    assert np.array_equal(*thetas) != listed
+
+
+def test_w_methods_are_the_records_listing_w():
+    assert ul.harness.W_METHODS == tuple(
+        m for m in ul.METHODS if "w" in METHOD_TABLE[m].axes)
+    assert ul.harness.W_METHODS == ("regun", "neggrad_plus")
+    assert tuple(METHOD_TABLE) == ul.METHODS
