@@ -141,7 +141,8 @@ def cmd_sweep(args) -> int:
     cfg, result = _run_from_args(args)
     if not result.contexts:
         return 1
-    points = sweep_tradeoff(cfg, args.method, DEFAULT_SWEEP_WS, result=result)
+    points = sweep_tradeoff(cfg, args.method, DEFAULT_SWEEP_WS, result=result,
+                            workers=args.workers)
     paths = write_report(result, args.out, sweep_points=points)
     for p in points:
         print(f"w={p.w:g}: test {p.test_acc_mean:.2f}+-{p.test_acc_std:.2f}  "
@@ -161,6 +162,10 @@ def cmd_report(args) -> int:
     write_aggregated_csv(aggregate_rows(rows), out_path)
     print(f"wrote {out_path}")
     return 0
+
+
+_WORKERS_HELP = ("processes that run grid points in parallel, each with one "
+                "BLAS thread (reports identical to serial)")
 
 
 def _add_common(p, forget_fraction=True, seed=True):
@@ -199,14 +204,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--method", default=None, choices=METHODS,
                    help="restrict the run to one method")
-    p.add_argument("--workers", type=int, default=1,
-                   help="parallel seed workers (results identical to serial)")
+    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("sweep", help="w trade-off curve for one method")
     _add_common(p)
     p.add_argument("--method", default="regun", choices=W_METHODS)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("report", help="re-aggregate an existing metrics.csv")

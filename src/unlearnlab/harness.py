@@ -11,11 +11,14 @@ manifest, written so that identical configs produce identical bytes.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import json
 import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from functools import partial
 from itertools import product
@@ -117,18 +120,21 @@ class MethodGrid:
         object.__setattr__(self, "gammas", tuple(float(v) for v in self.gammas))
         if not self.lrs or not self.ws or not self.gammas:
             raise ValueError("grid axes must be non-empty")
-        if any(lr <= 0 for lr in self.lrs):
-            raise ValueError("grid lrs must be > 0")
+        if not all(math.isfinite(lr) and lr > 0 for lr in self.lrs):
+            raise ValueError("grid lrs must be finite and > 0")
         if any(not (0.0 <= w <= 1.0) for w in self.ws):
             raise ValueError("grid ws must lie in [0, 1]")
-        if any(g < 0 for g in self.gammas):
-            raise ValueError("grid gammas must be >= 0")
+        if not all(math.isfinite(g) and g >= 0 for g in self.gammas):
+            raise ValueError("grid gammas must be finite and >= 0")
         for name in ("batch_size", "retain_batch_size", "num_matched"):
             v = getattr(self, name)
             if v is not None:
                 object.__setattr__(self, name, int(v))
                 if int(v) < 1:
                     raise ValueError(f"grid {name} must be >= 1")
+
+
+_DEFAULT_GRID = MethodGrid()
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,6 +189,12 @@ class ExperimentConfig:
                 raise ValueError(f"unknown method {name!r} in config")
             if not isinstance(grid, MethodGrid):
                 raise ValueError(f"method {name!r} needs a MethodGrid")
+            for axis in ("w", "gamma"):
+                key, default = axis + "s", getattr(_DEFAULT_GRID, axis + "s")
+                if axis not in METHOD_TABLE[name].axes and getattr(grid, key) != default:
+                    raise ValueError(
+                        f"config key methods.{name}.{key}: {name} does not sweep "
+                        f"{axis}; leave {key} out or at its default {list(default)}")
 
 
 def default_config() -> ExperimentConfig:
@@ -452,29 +464,14 @@ class SeedFailure:
     error: str
 
 
-@dataclass(frozen=True, eq=False)
-class SeedOutcome:
-    seed: int
-    context: SeedContext | None
-    base: MetricsReport | None
-    retrain: MetricsReport | None
-    grid: tuple
-    failure: SeedFailure | None
-
-
-_DEFAULT_GRID = MethodGrid()
-
-
 def method_grid_configs(cfg: ExperimentConfig, method: str, seed: int):
     """The UnlearnConfig list a method's grid expands to, in grid order.
 
     lr is always swept; w and gamma only when the method's record in
-    METHOD_TABLE lists them, else they keep MethodGrid's single default.
+    METHOD_TABLE lists them (ExperimentConfig holds the others at
+    MethodGrid's single default).
     """
     grid = cfg.methods[method]
-    axes = METHOD_TABLE[method].axes
-    ws = (grid if "w" in axes else _DEFAULT_GRID).ws
-    gammas = (grid if "gamma" in axes else _DEFAULT_GRID).gammas
     batch_size = grid.batch_size
     if batch_size is None:
         batch_size = cfg.base.batch_size
@@ -491,7 +488,7 @@ def method_grid_configs(cfg: ExperimentConfig, method: str, seed: int):
             num_matched=grid.num_matched,
             seed=derive_seed(seed, "unlearn"),
         )
-        for lr, w, gamma in product(grid.lrs, ws, gammas)
+        for lr, w, gamma in product(grid.lrs, grid.ws, grid.gammas)
     ]
 
 
@@ -504,27 +501,81 @@ def score_base_and_retrain(ctx: SeedContext) -> tuple:
     return base, retrain
 
 
-def _run_seed(cfg: ExperimentConfig, seed: int) -> SeedOutcome:
-    """Everything for one seed; any error aborts just this seed."""
-    stage = "prepare"
+def _prepare_unit(cfg: ExperimentConfig, seed: int):
+    """The seed's SeedContext, or its SeedFailure at stage "prepare"."""
     try:
-        ctx = prepare_seed(cfg, seed)
-        stage = "evaluate"
-        base_report, retrain_report = score_base_and_retrain(ctx)
-        grid = []
-        for method in sorted(cfg.methods):
-            for ucfg in method_grid_configs(cfg, method, seed):
-                stage = f"unlearn:{method}"
-                model = unlearn(ctx.base_model, ctx.splits, ctx.pool, ucfg)
-                stage = f"evaluate:{method}"
-                w = ucfg.w if method in W_METHODS else None
-                report = evaluate_model(method, model, ctx, w=w)
-                grid.append(GridResult(ucfg, with_gaps(report, retrain_report)))
-        return SeedOutcome(seed, ctx, base_report, retrain_report,
-                           tuple(grid), None)
+        return prepare_seed(cfg, seed)
     except Exception as exc:  # seed isolation barrier
-        return SeedOutcome(seed, None, None, None, (),
-                           SeedFailure(seed, stage, f"{type(exc).__name__}: {exc}"))
+        return SeedFailure(seed, "prepare", f"{type(exc).__name__}: {exc}")
+
+
+def _score_unit(ctx: SeedContext, ucfg: UnlearnConfig | None):
+    """One scoring job of one seed, or its SeedFailure.
+
+    ``ucfg`` None scores the base model and the retrain oracle (see
+    score_base_and_retrain); otherwise the grid point is unlearned from
+    the base model and evaluated, and its report comes back with the gap
+    columns left at zero.  The failure's stage names the step that
+    raised: "evaluate", "unlearn:<method>" or "evaluate:<method>".
+    """
+    stage = "evaluate"
+    try:
+        if ucfg is None:
+            return score_base_and_retrain(ctx)
+        method = ucfg.method
+        stage = f"unlearn:{method}"
+        model = unlearn(ctx.base_model, ctx.splits, ctx.pool, ucfg)
+        stage = f"evaluate:{method}"
+        return evaluate_model(method, model, ctx,
+                              w=ucfg.w if method in W_METHODS else None)
+    except Exception as exc:  # seed isolation barrier
+        return SeedFailure(ctx.seed, stage, f"{type(exc).__name__}: {exc}")
+
+
+def _openblas_threads():
+    """(get, set) ctypes functions for the thread count of the OpenBLAS
+    that numpy's wheel bundles (``numpy.libs/libscipy_openblas64_*``),
+    or None when no such library is found."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+def _pin_blas() -> None:
+    """Pool initializer: one OpenBLAS thread per worker.
+
+    A forked worker inherits the parent's BLAS thread count, so N workers
+    would spin N times that many threads on the cores.  The environment
+    variable is read only when numpy loads, which under fork has already
+    happened, so the count is set through the library itself.
+    """
+    threads = _openblas_threads()
+    if threads is not None:
+        _, set_threads = threads
+        set_threads(1)
+
+
+@contextmanager
+def _mapper(workers: int):
+    """The built-in ``map`` for one worker, else the ``map`` of one
+    process pool whose workers pin BLAS to one thread; results come back
+    in input order either way."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers == 1:
+        yield map
+    else:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas) as pool:
+            yield pool.map
 
 
 def _combo_key(config: UnlearnConfig) -> tuple:
@@ -603,31 +654,46 @@ def aggregate_rows(rows) -> tuple:
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunResult:
     """The full pipeline over all seeds.
 
-    Seeds are independent; ``workers`` > 1 fans them out to a process
-    pool with results reduced in seed order, so parallel and serial runs
-    produce identical reports.  A failing seed is recorded and skipped;
+    Work runs in units: first one ``prepare_seed`` per seed, then one
+    per scoring job of each prepared seed, the base/retrain pair or one
+    grid point of one method.  ``workers`` > 1 runs the units on one
+    process pool whose workers pin BLAS to a single thread; results are
+    reduced in seed, then grid order, so parallel and serial runs
+    produce identical reports.  A seed whose preparation or any unit
+    fails is recorded with its first failure in that order and skipped;
     the rest of the run proceeds.
     """
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as executor:
-            outcomes = list(executor.map(partial(_run_seed, cfg), cfg.seeds))
-    else:
-        outcomes = [_run_seed(cfg, s) for s in cfg.seeds]
-    outcomes.sort(key=lambda o: o.seed)
+    with _mapper(workers) as pmap:
+        prepared = list(pmap(partial(_prepare_unit, cfg), sorted(cfg.seeds)))
+        ready = [p for p in prepared if isinstance(p, SeedContext)]
+        plans = [[None] + [u for m in sorted(cfg.methods)
+                           for u in method_grid_configs(cfg, m, ctx.seed)]
+                 for ctx in ready]
+        scored = list(pmap(_score_unit,
+                           [ctx for ctx, plan in zip(ready, plans) for _ in plan],
+                           [ucfg for plan in plans for ucfg in plan]))
 
-    failures = tuple(o.failure for o in outcomes if o.failure is not None)
-    done = [o for o in outcomes if o.failure is None]
-    rows = []
-    grid = []
-    contexts = {}
-    for o in done:
-        rows.extend([o.base, o.retrain])
-        grid.extend(o.grid)
-        contexts[o.seed] = o.context
+    failures, rows, grid, contexts = [], [], [], {}
+    units, plans = iter(scored), iter(plans)
+    for outcome in prepared:
+        if isinstance(outcome, SeedFailure):
+            failures.append(outcome)
+            continue
+        plan = next(plans)
+        results = [next(units) for _ in plan]
+        failure = next((r for r in results if isinstance(r, SeedFailure)), None)
+        if failure is not None:
+            failures.append(failure)
+            continue
+        (base, retrain), *reports = results
+        rows.extend([base, retrain])
+        grid.extend(GridResult(ucfg, with_gaps(report, retrain))
+                    for ucfg, report in zip(plan[1:], reports))
+        contexts[outcome.seed] = outcome
 
     selected = {}
     if grid:
-        base_val_acc = float(np.mean([o.base.val_acc for o in done]))
+        base_val_acc = float(np.mean([r.val_acc for r in rows if r.method == "base"]))
         selected = select_hyperparams(grid, base_val_acc)
         chosen = {(m, _combo_key(c)) for m, c in selected.items()}
         rows.extend(gr.report for gr in grid
@@ -640,7 +706,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunResult:
         aggregates=aggregate_rows(rows),
         selected=selected,
         grid=tuple(grid),
-        failures=failures,
+        failures=tuple(failures),
         contexts=contexts,
     )
 
@@ -667,8 +733,11 @@ def sweep_tradeoff(cfg: ExperimentConfig, method: str, w_grid,
 
     The non-w hyperparameters are the ones selection picked for the
     method (lr, gamma); pass ``result`` to reuse an existing run's
-    trained models, otherwise the experiment is run first.  Returns one
-    SweepPoint per w in grid order.
+    trained models, otherwise the experiment is run first.  Each
+    (w, seed) point is one unit of work, run on the same kind of pool
+    as ``run_experiment`` when ``workers`` > 1.  A failing point raises
+    ValueError naming its seed and stage.  Returns one SweepPoint per w
+    in grid order.
     """
     if method not in W_METHODS:
         raise ValueError(f"method {method!r} has no w to sweep")
@@ -680,18 +749,24 @@ def sweep_tradeoff(cfg: ExperimentConfig, method: str, w_grid,
         raise ValueError(f"no grid results for {method!r} to anchor the sweep")
     anchor = result.selected[method]
     retrain_rows = {r.seed: r for r in result.rows if r.method == "retrain"}
+    contexts = [ctx for _, ctx in sorted(result.contexts.items())]
+    ws = [float(w) for w in w_grid]
+    with _mapper(workers) as pmap:
+        scored = list(pmap(_score_unit, contexts * len(ws), [
+            replace(anchor, w=w, seed=derive_seed(ctx.seed, "unlearn"))
+            for w in ws for ctx in contexts]))
+    for failure in scored:
+        if isinstance(failure, SeedFailure):
+            raise ValueError(f"sweep of {method} failed on seed {failure.seed} "
+                             f"at {failure.stage}: {failure.error}")
 
     points = []
-    for w in w_grid:
-        reports = []
-        for seed, ctx in sorted(result.contexts.items()):
-            ucfg = replace(anchor, w=float(w), seed=derive_seed(seed, "unlearn"))
-            model = unlearn(ctx.base_model, ctx.splits, ctx.pool, ucfg)
-            report = evaluate_model(method, model, ctx, w=float(w))
-            reports.append(with_gaps(report, retrain_rows[seed]))
+    for i, w in enumerate(ws):
+        reports = [with_gaps(report, retrain_rows[report.seed])
+                   for report in scored[i * len(contexts):(i + 1) * len(contexts)]]
         stats = aggregate_seeds(reports)
         # the statistic fields are named <report field>_mean / _std
-        points.append(SweepPoint(method, float(w), len(reports), **{
+        points.append(SweepPoint(method, w, len(reports), **{
             name: stats[name.rpartition("_")[0]][name.endswith("_std")]
             for name in SWEEP_HEADER[3:]}))
     return points

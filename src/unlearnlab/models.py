@@ -20,6 +20,7 @@ of exp(z - c) over the other entries.  This is scipy's
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import get_type_hints
 
@@ -270,8 +271,8 @@ class LossSpec:
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}")
-        if self.l1_weight < 0.0:
-            raise ValueError("l1_weight must be >= 0")
+        if not (math.isfinite(self.l1_weight) and self.l1_weight >= 0.0):
+            raise ValueError("l1_weight must be finite and >= 0")
         if self.kind in ("ce_soft", "kl_to_target"):
             if self.soft_target is None:
                 raise ValueError(f"{self.kind} needs a soft_target")
@@ -425,8 +426,8 @@ class OptState:
     velocity: np.ndarray
 
     def __post_init__(self):
-        if not (self.lr > 0.0):
-            raise ValueError("lr must be > 0")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ValueError("lr must be finite and > 0")
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError("momentum must lie in [0, 1)")
 
@@ -462,8 +463,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if not (self.lr > 0.0):
-            raise ValueError("lr must be > 0")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ValueError("lr must be finite and > 0")
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError("momentum must lie in [0, 1)")
 

@@ -19,6 +19,7 @@ A zero epoch budget is the identity for every method.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,8 +107,8 @@ class UnlearnConfig:
             raise ValueError("retain_batch_size must be >= 1")
         if not (0.0 <= self.w <= 1.0):
             raise ValueError("w must lie in [0, 1]")
-        if self.gamma < 0.0:
-            raise ValueError("gamma must be >= 0")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
+            raise ValueError("gamma must be finite and >= 0")
         if self.num_matched is not None and self.num_matched < 1:
             raise ValueError("num_matched must be >= 1")
 

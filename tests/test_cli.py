@@ -104,6 +104,33 @@ def test_sweep_writes_curve(cfg_path, tmp_path, capsys):
     assert "gap_tp" in capsys.readouterr().out
 
 
+def test_parallel_sweep_writes_the_same_bytes(cfg_path, tmp_path):
+    argv = ["sweep", "--config", cfg_path, "--method", "regun", "--seed", "0"]
+    assert main(argv + ["--out", str(tmp_path / "serial")]) == 0
+    assert main(argv + ["--out", str(tmp_path / "parallel"), "--workers", "2"]) == 0
+    for name in ("metrics.csv", "aggregated.csv", "sweep.csv", "manifest.json"):
+        assert ((tmp_path / "serial" / name).read_bytes()
+                == (tmp_path / "parallel" / name).read_bytes())
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_workers_below_one_exit_2(cfg_path, tmp_path, capsys, command, workers):
+    rc = main([command, "--config", cfg_path, "--workers", workers,
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: workers must be >= 1, got {workers}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_unswept_axis_in_the_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "axis.json"
+    path.write_text(json.dumps({"methods": {"finetune": {"ws": [0.1, 0.9]}}}))
+    rc = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: config key methods.finetune.ws:")
+
+
 def test_missing_config_is_a_clean_error(tmp_path, capsys):
     rc = main(["run", "--config", str(tmp_path / "absent.json"),
                "--out", str(tmp_path)])

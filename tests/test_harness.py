@@ -1,6 +1,7 @@
 """Harness: seeds, config serialization, selection, runs, reports."""
 
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,7 @@ from unlearnlab.harness import (
     write_metrics_csv,
 )
 from unlearnlab.metrics import REPORT_FIELDS
+from unlearnlab.unlearn import METHOD_TABLE
 
 
 def make_report(method, seed, w, forget_acc, val_acc, **over):
@@ -118,6 +120,42 @@ def test_method_grid_validation():
         MethodGrid(batch_size=0)
     with pytest.raises(ValueError):
         MethodGrid(num_matched=0)
+
+
+@pytest.mark.parametrize("axis, bad, match", [
+    ("lrs", math.nan, "lrs must be finite"),
+    ("lrs", math.inf, "lrs must be finite"),
+    ("gammas", math.nan, "gammas must be finite"),
+    ("gammas", math.inf, "gammas must be finite"),
+    ("ws", math.nan, "ws must lie in"),
+])
+def test_method_grid_rejects_non_finite_values(axis, bad, match):
+    with pytest.raises(ValueError, match=match):
+        MethodGrid(**{axis: (0.5, bad)})
+
+
+@pytest.mark.parametrize("method, key, value", [
+    ("finetune", "ws", [0.1, 0.9]),
+    ("neggrad", "ws", [0.3]),
+    ("l1_sparse", "ws", [0.9]),
+    ("regun", "gammas", [0.5]),
+    ("neggrad_plus", "gammas", [0.0, 1e-3]),
+])
+def test_config_rejects_an_axis_the_method_does_not_sweep(method, key, value):
+    with pytest.raises(ValueError, match=rf"methods\.{method}\.{key}\b"):
+        ul.config_from_dict({"methods": {method: {key: value}}})
+    # a Python-built grid holds the same rule
+    with pytest.raises(ValueError, match=rf"methods\.{method}\.{key}\b"):
+        replace(ul.default_config(),
+                methods={method: MethodGrid(**{key: tuple(value)})})
+
+
+def test_config_accepts_an_unswept_axis_at_its_default():
+    # config_to_dict echoes every axis, so a default one must read back
+    cfg = ul.config_from_dict({"methods": {"finetune": {"ws": [0.5], "gammas": [0.0]},
+                                           "regun": {"gammas": [0]}}})
+    assert cfg.methods["finetune"] == MethodGrid()
+    assert cfg.methods["regun"].gammas == (0.0,)
 
 
 def test_experiment_config_validation(tiny_cfg):
@@ -332,6 +370,57 @@ def test_run_isolates_a_failing_seed(tiny_cfg, monkeypatch):
     assert {r.seed for r in result.rows} == {tiny_cfg.seeds[0]}
 
 
+def test_failures_match_across_the_pool(tiny_cfg, monkeypatch, tmp_path):
+    # every finetune and regun point of the second seed fails; the seed's
+    # failure is the first in serial grid order whichever unit the pool
+    # finishes first (patched before the pool forks, so workers see it)
+    real = harness.unlearn
+    doomed = ul.derive_seed(tiny_cfg.seeds[1], "unlearn")
+
+    def flaky(model, splits, data, cfg, reference=None):
+        if cfg.seed == doomed:
+            raise RuntimeError(f"synthetic {cfg.method} w={cfg.w}")
+        return real(model, splits, data, cfg, reference)
+
+    monkeypatch.setattr(harness, "unlearn", flaky)
+    serial = ul.run_experiment(tiny_cfg)
+    parallel = ul.run_experiment(tiny_cfg, workers=2)
+    assert serial.failures == parallel.failures == (harness.SeedFailure(
+        tiny_cfg.seeds[1], "unlearn:finetune",
+        "RuntimeError: synthetic finetune w=0.5"),)
+    assert {r.seed for r in parallel.rows} == {tiny_cfg.seeds[0]}
+    assert len(parallel.rows) == 2 + len(tiny_cfg.methods)
+    ul.write_report(serial, tmp_path / "serial")
+    ul.write_report(parallel, tmp_path / "parallel")
+    for name in ("metrics.csv", "aggregated.csv", "manifest.json"):
+        assert ((tmp_path / "serial" / name).read_bytes()
+                == (tmp_path / "parallel" / name).read_bytes())
+
+
+def _blas_threads_here(_):
+    return harness._openblas_threads()[0]()
+
+
+def test_pool_workers_pin_blas_to_one_thread(tiny_cfg):
+    threads = harness._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy bundles no OpenBLAS here")
+    before = threads[0]()
+    with harness._mapper(2) as pmap:
+        assert list(pmap(_blas_threads_here, range(4))) == [1] * 4
+    ul.run_experiment(tiny_cfg, workers=2)
+    assert threads[0]() == before
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_workers_below_one_are_rejected(tiny_cfg, tiny_run, workers):
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        ul.run_experiment(tiny_cfg, workers=workers)
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        ul.sweep_tradeoff(tiny_cfg, "regun", (0.5,), result=tiny_run,
+                          workers=workers)
+
+
 # -------------------------------------------------------------------- sweeps
 
 
@@ -343,6 +432,16 @@ def test_sweep_tradeoff_points(tiny_cfg, tiny_run):
         assert p.n_seeds == len(tiny_cfg.seeds)
         assert 0.0 <= p.test_acc_mean <= 100.0
         assert p.test_acc_std >= 0.0
+
+
+def test_parallel_sweep_matches_serial(tmp_path, tiny_cfg, tiny_run):
+    ws = (0.2, 0.5, 0.8)
+    for workers in (1, 2):
+        pts = ul.sweep_tradeoff(tiny_cfg, "regun", ws, result=tiny_run,
+                                workers=workers)
+        ul.write_report(tiny_run, tmp_path / str(workers), sweep_points=pts)
+    assert ((tmp_path / "1" / "sweep.csv").read_bytes()
+            == (tmp_path / "2" / "sweep.csv").read_bytes())
 
 
 def test_sweep_rejects_non_w_methods(tiny_cfg, tiny_run):
@@ -514,8 +613,10 @@ def experiment_configs(draw):
     methods = {
         name: MethodGrid(
             lrs=tuple(draw(st.lists(st.floats(1e-6, 1.0, **_floats), min_size=1, max_size=3))),
-            ws=tuple(draw(st.lists(st.floats(0.0, 1.0, **_floats), min_size=1, max_size=3))),
-            gammas=tuple(draw(st.lists(st.floats(0.0, 1.0, **_floats), min_size=1, max_size=2))),
+            ws=tuple(draw(st.lists(st.floats(0.0, 1.0, **_floats), min_size=1, max_size=3)))
+            if "w" in METHOD_TABLE[name].axes else MethodGrid().ws,
+            gammas=tuple(draw(st.lists(st.floats(0.0, 1.0, **_floats), min_size=1, max_size=2)))
+            if "gamma" in METHOD_TABLE[name].axes else MethodGrid().gammas,
             batch_size=draw(knob), retain_batch_size=draw(knob),
             num_matched=draw(knob))
         for name in draw(st.lists(st.sampled_from(ul.METHODS), unique=True))

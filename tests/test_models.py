@@ -253,6 +253,21 @@ def test_loss_rejects_bad_inputs():
         ul.LossSpec("ce_hard", l1_weight=-1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("build, match", [
+    (lambda v: ul.TrainConfig(epochs=1, batch_size=1, lr=v), "lr must be finite"),
+    (lambda v: ul.TrainConfig(epochs=1, batch_size=1, lr=0.1, momentum=v),
+     "momentum must lie in"),
+    (lambda v: ul.init_opt_state(ul.init_model(ul.ArchitectureSpec("linear", 1, 2), 0), v),
+     "lr must be finite"),
+    (lambda v: ul.LossSpec("ce_hard", l1_weight=v), "l1_weight must be finite"),
+], ids=["train_lr", "train_momentum", "opt_lr", "l1_weight"])
+def test_non_finite_hyperparameters_are_rejected(build, match, bad):
+    # a NaN l1_weight used to pass "< 0" and then switch the penalty off
+    with pytest.raises(ValueError, match=match):
+        build(bad)
+
+
 # ---------------------------------------------------------------- sgd / train
 
 

@@ -1,5 +1,7 @@
 """Unlearning methods: degeneracies, per-step replication, directional checks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -260,6 +262,18 @@ def test_unlearn_config_validation():
         UnlearnConfig(method="regun", lr=0.1, gamma=-0.1)
     with pytest.raises(ValueError):
         UnlearnConfig(method="regun", lr=0.1, num_matched=0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("field, match", [
+    ("lr", "lr must be finite"),
+    ("momentum", "momentum must lie in"),
+    ("gamma", "gamma must be finite"),
+])
+def test_unlearn_config_rejects_non_finite_values(field, match, bad):
+    knobs = {"lr": 0.1, field: bad}
+    with pytest.raises(ValueError, match=match):
+        UnlearnConfig(method="l1_sparse", **knobs)
 
 
 # ------------------------------------------------------------ entry checks
