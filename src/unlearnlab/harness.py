@@ -39,12 +39,14 @@ from .metrics import (
     REPORT_FIELDS,
     AttackScores,
     MetricsReport,
-    accuracy,
+    _accuracy,
+    _js_avg,
+    _reference_mean,
+    _rmia,
+    _select,
+    _true_label,
     aggregate_seeds,
     attack_auc,
-    js_divergence_avg,
-    rmia_lite_scores,
-    smia_scores,
     with_gaps,
 )
 from .models import (
@@ -52,6 +54,10 @@ from .models import (
     ArchitectureSpec,
     Model,
     TrainConfig,
+    _log_softmax,
+    _softmax,
+    forward_logits,
+    forward_probs,
     init_model,
     train,
 )
@@ -353,9 +359,32 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(doc)
 
 
+# The splits a report scores, in evaluation order, and the two the
+# attacks compare: forget rows are members, test rows non-members.
+_EVAL_SPLITS = ("retain", "forget", "test", "validation")
+_ATTACK_SPLITS = ("forget", "test")
+
+
+def _split_rows(pool: Dataset, splits: DataSplits, split: str):
+    """(features, labels) of one scored split: the test set is its own
+    dataset, the other splits index the pool."""
+    if split == "test":
+        return _select(splits.test, None)
+    return _select(pool, getattr(splits, split))
+
+
 @dataclass(frozen=True, eq=False)
 class SeedContext:
-    """Everything one seed's evaluations share."""
+    """Everything one seed's evaluations share.
+
+    The frozen models' predictions that ``evaluate_model`` reads are
+    computed once, when the context is built, and travel with it (a
+    pickled context carries them; unpickling recomputes nothing):
+    ``oracle_probs`` holds the retrain oracle's probability rows on the
+    retain and test splits, for the JS divergences; ``ref_means`` holds
+    the references' mean true-label probability on the forget and test
+    splits, for the RMIA score, or is None without references.
+    """
 
     seed: int
     pool: Dataset
@@ -363,6 +392,19 @@ class SeedContext:
     base_model: Model
     retrain_model: Model
     references: tuple
+    oracle_probs: dict = field(init=False, repr=False)
+    ref_means: dict | None = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # Each split's rows are selected where they are used and dropped
+        # after; with the references before the oracle, building a context
+        # peaked lowest in memory among the orders measured.
+        rows = partial(_split_rows, self.pool, self.splits)
+        object.__setattr__(self, "ref_means", {
+            s: _reference_mean(self.references, *rows(s)) for s in _ATTACK_SPLITS
+        } if self.references else None)
+        object.__setattr__(self, "oracle_probs", {
+            s: forward_probs(self.retrain_model, rows(s)[0]) for s in ("retain", "test")})
 
 
 def prepare_seed(cfg: ExperimentConfig, seed: int,
@@ -399,53 +441,75 @@ def prepare_seed(cfg: ExperimentConfig, seed: int,
         init_model(cfg.arch, derive_seed(seed, "retrain_init")),
         pool, splits.retain, replace(cfg.base, seed=derive_seed(seed, "retrain")),
     )
+    # the references' training sets are freed before the context
+    # computes the frozen predictions
+    references = _train_references(cfg, seed, pool, splits) if with_references else ()
+    return SeedContext(seed, pool, splits, base_model, retrain_model, references)
 
+
+def _train_references(cfg: ExperimentConfig, seed: int, pool: Dataset,
+                      splits: DataSplits) -> tuple:
     references = []
-    if with_references:
-        for i in range(cfg.rmia_refs):
-            ref_init = init_model(cfg.arch, derive_seed(seed, "ref_init", i))
-            ref_train_cfg = replace(cfg.base, seed=derive_seed(seed, "ref_train", i))
-            if cfg.gen is not None:
-                ref_data = generate_gaussian_mixture(
-                    replace(cfg.gen, seed=derive_seed(seed, "ref_data", i))
-                )
-                ref_rows = np.arange(ref_data.num_samples)
-            else:
-                ref_data = pool
-                half = max(1, splits.retain.size // 2)
-                ref_rng = np.random.default_rng(derive_seed(seed, "ref_data", i))
-                ref_rows = np.sort(ref_rng.choice(splits.retain, size=half, replace=False))
-            references.append(train(ref_init, ref_data, ref_rows, ref_train_cfg))
-
-    return SeedContext(seed, pool, splits, base_model, retrain_model,
-                       tuple(references))
+    for i in range(cfg.rmia_refs):
+        ref_init = init_model(cfg.arch, derive_seed(seed, "ref_init", i))
+        ref_train_cfg = replace(cfg.base, seed=derive_seed(seed, "ref_train", i))
+        if cfg.gen is not None:
+            ref_data = generate_gaussian_mixture(
+                replace(cfg.gen, seed=derive_seed(seed, "ref_data", i))
+            )
+            ref_rows = np.arange(ref_data.num_samples)
+        else:
+            ref_data = pool
+            half = max(1, splits.retain.size // 2)
+            ref_rng = np.random.default_rng(derive_seed(seed, "ref_data", i))
+            ref_rows = np.sort(ref_rng.choice(splits.retain, size=half, replace=False))
+        references.append(train(ref_init, ref_data, ref_rows, ref_train_cfg))
+    return tuple(references)
 
 
 def evaluate_model(name: str, model: Model, ctx: SeedContext,
                    w: float | None = None) -> MetricsReport:
     """All metrics for one model against this seed's oracle and attacks.
 
+    The model is forwarded once per split (retain, forget, test,
+    validation); the oracle's and the references' predictions come from
+    the context.  A model whose input_dim or num_classes differs from the
+    seed's data raises ValueError, as does a context without references.
     Gap columns are left at zero; callers fill them against the oracle
     row (for the oracle itself they are correct as is).
     """
-    pool, splits = ctx.pool, ctx.splits
-    oracle = ctx.retrain_model
-    member_smia = smia_scores(model, pool, splits.forget)
-    nonmember_smia = smia_scores(model, splits.test)
-    member_rmia = rmia_lite_scores(model, ctx.references, pool, splits.forget)
-    nonmember_rmia = rmia_lite_scores(model, ctx.references, splits.test)
+    pool = ctx.pool
+    shape = (model.arch.input_dim, model.arch.num_classes)
+    if shape != (pool.input_dim, pool.num_classes):
+        raise ValueError(
+            f"model {name!r} has input_dim {shape[0]} and num_classes {shape[1]}, "
+            f"but seed {ctx.seed}'s data has input_dim {pool.input_dim} and "
+            f"num_classes {pool.num_classes}")
+    if ctx.ref_means is None:
+        raise ValueError("need at least one reference model")
+    acc, div, smia, rmia = {}, {}, {}, {}
+    for split in _EVAL_SPLITS:
+        x, y = _split_rows(pool, ctx.splits, split)
+        logits = forward_logits(model, x)
+        probs = _softmax(logits)
+        acc[split] = _accuracy(probs, y)
+        if split in ctx.oracle_probs:
+            div[split] = _js_avg(probs, ctx.oracle_probs[split])
+        if split in ctx.ref_means:
+            smia[split] = _true_label(_log_softmax(logits), y)
+            rmia[split] = _rmia(_true_label(probs, y), ctx.ref_means[split])
     return MetricsReport(
         method=name,
         seed=ctx.seed,
         w=w,
-        retain_acc=accuracy(model, pool, splits.retain),
-        forget_acc=accuracy(model, pool, splits.forget),
-        test_acc=accuracy(model, splits.test),
-        val_acc=accuracy(model, pool, splits.validation),
-        retain_div=js_divergence_avg(model, oracle, pool, splits.retain),
-        test_div=js_divergence_avg(model, oracle, splits.test),
-        rmia_auc=attack_auc(AttackScores(member_rmia, nonmember_rmia)),
-        smia_auc=attack_auc(AttackScores(member_smia, nonmember_smia)),
+        retain_acc=acc["retain"],
+        forget_acc=acc["forget"],
+        test_acc=acc["test"],
+        val_acc=acc["validation"],
+        retain_div=div["retain"],
+        test_div=div["test"],
+        rmia_auc=attack_auc(AttackScores(rmia["forget"], rmia["test"])),
+        smia_auc=attack_auc(AttackScores(smia["forget"], smia["test"])),
     )
 
 

@@ -4,6 +4,12 @@ Accuracies, two membership-inference attack scores with an exact
 Mann-Whitney AUC, an averaged Jensen-Shannon divergence between two
 models' predictions, and gap-to-retrain summaries.  Everything numeric
 is reported in percent except the raw per-sample attack scores.
+
+Each public metric forwards the models it is given and hands the
+predictions to a private array-level core (``_accuracy``,
+``_true_label``, ``_reference_mean``, ``_rmia``, ``_js_avg``).
+``harness.evaluate_model`` calls the same cores on predictions it
+computes once per split, so each formula exists once.
 """
 
 from __future__ import annotations
@@ -36,8 +42,17 @@ def accuracy(model: Model, data: Dataset, indices=None) -> float:
     Ties in the argmax resolve to the lowest class index.
     """
     x, y = _select(data, indices)
-    pred = np.argmax(forward_probs(model, x), axis=1) + 1
+    return _accuracy(forward_probs(model, x), y)
+
+
+def _accuracy(probs: np.ndarray, y: np.ndarray) -> float:
+    pred = np.argmax(probs, axis=1) + 1
     return 100.0 * float(np.mean(pred == y))
+
+
+def _true_label(values: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Each row's entry at its 1-based label."""
+    return values[np.arange(y.shape[0]), y - 1]
 
 
 def smia_scores(model: Model, data: Dataset, indices=None) -> np.ndarray:
@@ -47,8 +62,7 @@ def smia_scores(model: Model, data: Dataset, indices=None) -> np.ndarray:
     the model fits the sample better (members tend to score higher).
     """
     x, y = _select(data, indices)
-    log_p = forward_log_probs(model, x)
-    return log_p[np.arange(x.shape[0]), y - 1]
+    return _true_label(forward_log_probs(model, x), y)
 
 
 def rmia_lite_scores(target: Model, references, data: Dataset,
@@ -63,12 +77,19 @@ def rmia_lite_scores(target: Model, references, data: Dataset,
     if not refs:
         raise ValueError("need at least one reference model")
     x, y = _select(data, indices)
-    rows = np.arange(x.shape[0])
-    p_target = forward_probs(target, x)[rows, y - 1]
-    ref_mean = np.zeros_like(p_target)
+    return _rmia(_true_label(forward_probs(target, x), y), _reference_mean(refs, x, y))
+
+
+def _reference_mean(refs, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Mean true-label probability over the references, summed in order."""
+    ref_mean = np.zeros(y.shape[0])
     for ref in refs:
-        ref_mean += forward_probs(ref, x)[rows, y - 1]
+        ref_mean += _true_label(forward_probs(ref, x), y)
     ref_mean /= len(refs)
+    return ref_mean
+
+
+def _rmia(p_target: np.ndarray, ref_mean: np.ndarray) -> np.ndarray:
     return p_target / np.maximum(RMIA_DENOM_FLOOR, ref_mean)
 
 
@@ -143,9 +164,11 @@ def js_divergence_avg(model_a: Model, model_b: Model, data: Dataset,
     """Mean per-sample JS divergence between two models' predictive
     distributions over the given rows, times 100."""
     x, _ = _select(data, indices)
-    return 100.0 * float(
-        np.mean(js_divergence(forward_probs(model_a, x), forward_probs(model_b, x)))
-    )
+    return _js_avg(forward_probs(model_a, x), forward_probs(model_b, x))
+
+
+def _js_avg(p: np.ndarray, q: np.ndarray) -> float:
+    return 100.0 * float(np.mean(js_divergence(p, q)))
 
 
 @dataclass(frozen=True)

@@ -194,3 +194,29 @@ def test_sweep_offers_exactly_the_w_methods():
         else:
             with pytest.raises(SystemExit):
                 parser.parse_args(argv)
+
+
+@pytest.mark.parametrize("num_classes", [2, 5])
+def test_evaluate_rejects_a_checkpoint_of_another_class_count(cfg_path, tmp_path,
+                                                             capsys, num_classes):
+    ckpt = tmp_path / f"k{num_classes}.ckpt"
+    arch = ul.ArchitectureSpec("mlp1", 4, num_classes, hidden_dim=8)
+    ul.save_checkpoint(ul.init_model(arch, seed=0), ckpt)
+    out = tmp_path / "eval"
+    rc = main(["evaluate", "--config", cfg_path, "--out", str(out), str(ckpt)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"input_dim 4 and num_classes {num_classes}" in err
+    assert "input_dim 4 and num_classes 3" in err
+    assert not (out / "metrics.csv").exists()
+
+
+def test_evaluate_accepts_another_kind_of_the_same_shape(cfg_path, tmp_path):
+    ckpt = tmp_path / "lin.ckpt"
+    ul.save_checkpoint(ul.init_model(ul.ArchitectureSpec("linear", 4, 3), seed=0), ckpt)
+    out = tmp_path / "eval"
+    rc = main(["evaluate", "--config", cfg_path, "--out", str(out), str(ckpt)])
+    assert rc == 0
+    rows = ul.read_metrics_csv(out / "metrics.csv")
+    assert [r.method for r in rows] == ["base", "retrain", "lin"]
