@@ -43,7 +43,7 @@ from .unlearn import METHODS, unlearn
 
 def _config_from_args(args):
     cfg = load_config(args.config) if args.config else default_config()
-    if getattr(args, "forget_fraction", None) is not None:
+    if args.forget_fraction is not None:
         cfg = replace(cfg, forget_fraction=args.forget_fraction)
     return cfg
 
@@ -168,15 +168,13 @@ _WORKERS_HELP = ("processes that run grid points in parallel, each with one "
                 "BLAS thread (reports identical to serial)")
 
 
-def _add_common(p, forget_fraction=True, seed=True):
+def _add_common(p):
     p.add_argument("--config", help="JSON config path (defaults built in)")
     p.add_argument("--out", default="unlearnlab-out", help="output directory")
-    if forget_fraction:
-        p.add_argument("--forget-fraction", type=float, default=None,
-                       help="override the configured forget fraction")
-    if seed:
-        p.add_argument("--seed", type=int, default=None,
-                       help="experiment seed (default: first configured)")
+    p.add_argument("--forget-fraction", type=float, default=None,
+                   help="override the configured forget fraction")
+    p.add_argument("--seed", type=int, default=None,
+                   help="experiment seed (default: first configured)")
 
 
 def build_parser() -> argparse.ArgumentParser:

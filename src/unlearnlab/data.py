@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import FLOAT_FMT
+from .textio import parse_cell, read_rows, write_rows
 
 
 class DataError(ValueError):
@@ -219,16 +219,11 @@ def sample_minibatch(indices, batch_size: int, rng: np.random.Generator) -> np.n
 # CSV rows are the feature columns followed by one integer label column.
 
 def write_csv(data: Dataset, path, header: bool = False) -> None:
-    """Write a dataset as comma-separated text, floats as FLOAT_FMT (17
-    significant digits) so load_csv(write_csv(d)) reproduces d exactly."""
-    with open(path, "w") as fh:
-        if header:
-            cols = [f"x{j + 1}" for j in range(data.input_dim)] + ["label"]
-            fh.write(",".join(cols) + "\n")
-        for row, lab in zip(data.features, data.labels):
-            cells = [FLOAT_FMT % v for v in row]
-            cells.append(str(int(lab)))
-            fh.write(",".join(cells) + "\n")
+    """Write a dataset as comma-separated text, floats with 17
+    significant digits so load_csv(write_csv(d)) reproduces d exactly."""
+    names = [f"x{j + 1}" for j in range(data.input_dim)] + ["label"]
+    write_rows(path, ([*row, int(lab)] for row, lab in zip(data.features, data.labels)),
+               header=names if header else None)
 
 
 def load_csv(path, header: bool = False,
@@ -238,45 +233,29 @@ def load_csv(path, header: bool = False,
     ``num_classes`` is the class count of the dataset; labels above it
     are rejected.  None takes the maximum label seen, which is wrong for
     a file that happens to lack the top class (a small test set), so
-    callers that know the count pass it.  Any malformed cell raises
-    DataError naming the 1-based line number.
+    callers that know the count pass it.  With ``header`` the first
+    non-blank line is skipped.  Any malformed line raises DataError
+    naming its 1-based line number.
     """
     rows = []
     labels = []
-    width = None
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    start = 1 if header else 0
-    for lineno, ln in enumerate(lines[start:], start=start + 1):
-        if not ln.strip():
-            continue
-        cells = ln.split(",")
-        if len(cells) < 2:
-            raise DataError(f"{path} line {lineno}: need features and a label")
-        if width is None:
-            width = len(cells)
-        elif len(cells) != width:
-            raise DataError(
-                f"{path} line {lineno}: expected {width} columns, got {len(cells)}"
-            )
-        try:
-            feats = [float(c) for c in cells[:-1]]
-        except ValueError:
-            raise DataError(f"{path} line {lineno}: non-numeric feature") from None
-        try:
-            lab = int(cells[-1])
-        except ValueError:
-            raise DataError(f"{path} line {lineno}: label must be an integer") from None
-        if lab < 1:
-            raise DataError(f"{path} line {lineno}: labels start at 1")
-        if num_classes is not None and lab > num_classes:
-            raise DataError(
-                f"{path} line {lineno}: label {lab} exceeds num_classes={num_classes}"
-            )
-        if not all(math.isfinite(v) for v in feats):
-            raise DataError(f"{path} line {lineno}: non-finite feature")
-        rows.append(feats)
-        labels.append(lab)
+    lines = read_rows(path)
+    try:
+        if header:
+            next(lines, None)
+        for lineno, cells in lines:
+            where = f"{path} line {lineno}"
+            if len(cells) < 2:
+                raise ValueError(f"{where}: need features and a label")
+            rows.append([parse_cell(float, c, where) for c in cells[:-1]])
+            lab = parse_cell(int, cells[-1], where)
+            if lab < 1:
+                raise ValueError(f"{where}: labels start at 1")
+            if num_classes is not None and lab > num_classes:
+                raise ValueError(f"{where}: label {lab} exceeds num_classes={num_classes}")
+            labels.append(lab)
+    except ValueError as exc:  # every error above names its line already
+        raise DataError(str(exc)) from None
     if not rows:
         raise DataError(f"{path}: no data rows")
     features = np.array(rows, dtype=np.float64)

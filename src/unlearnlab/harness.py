@@ -50,7 +50,6 @@ from .metrics import (
     with_gaps,
 )
 from .models import (
-    FLOAT_FMT,
     ArchitectureSpec,
     Model,
     TrainConfig,
@@ -61,6 +60,7 @@ from .models import (
     init_model,
     train,
 )
+from .textio import parse_cell, read_rows, write_rows
 from .unlearn import METHOD_TABLE, METHODS, UnlearnConfig, unlearn
 
 REPORT_FORMAT = "unlearnlab-run v1"
@@ -837,8 +837,8 @@ def sweep_tradeoff(cfg: ExperimentConfig, method: str, w_grid,
 
 
 # ---------------------------------------------------------------------------
-# Report files.  All floats print as FLOAT_FMT (17 significant digits)
-# and all row orders are fixed, so identical runs write identical bytes.
+# Report files, in the row format of textio.  All row orders are fixed,
+# so identical runs write identical bytes.
 
 METRICS_HEADER = tuple(f.name for f in fields(MetricsReport))
 
@@ -851,68 +851,34 @@ AGGREGATED_HEADER = ("method", "w", "n_seeds") + tuple(
 _SELECTED_KEYS = ("lr", "w", "gamma", "epochs", "batch_size", "momentum")
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    text = FLOAT_FMT % value if isinstance(value, float) else str(value)
-    if any(c in text for c in ",\n\r"):
-        raise ValueError(f"CSV cell {text!r} contains a separator character")
-    return text
-
-
-def _write_rows(path, header, rows) -> None:
-    """Write a report CSV: the header, then one line per row of values.
-
-    Floats print as FLOAT_FMT, None as an empty cell, other values with
-    str.  A cell holding ',', '\\n' or '\\r' raises ValueError before the
-    file is opened.
-    """
-    lines = [",".join(header)]
-    lines.extend(",".join(_cell(v) for v in row) for row in rows)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def write_metrics_csv(rows, path) -> None:
-    _write_rows(path, METRICS_HEADER,
-                ([getattr(r, c) for c in METRICS_HEADER] for r in rows))
-
-
-def _from_cell(hint, cell: str):
-    if get_origin(hint) is UnionType:
-        return None if cell == "" else _from_cell(get_args(hint)[0], cell)
-    return hint(cell)
+    write_rows(path, ([getattr(r, c) for c in METRICS_HEADER] for r in rows),
+               header=METRICS_HEADER)
 
 
 def read_metrics_csv(path):
     """Parse a metrics CSV back into MetricsReport rows."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or tuple(lines[0].split(",")) != METRICS_HEADER:
+    lines = read_rows(path)
+    if tuple(next(lines, (0, ()))[1]) != METRICS_HEADER:
         raise ValueError(f"{path}: not a metrics CSV")
     hints = get_type_hints(MetricsReport)
     rows = []
-    for lineno, ln in enumerate(lines[1:], start=2):
-        if not ln.strip():
-            continue
-        cells = ln.split(",")
-        if len(cells) != len(METRICS_HEADER):
-            raise ValueError(f"{path} line {lineno}: wrong column count")
+    for lineno, cells in lines:
+        where = f"{path} line {lineno}"
+        values = {name: parse_cell(hints[name], cell, where)
+                  for name, cell in zip(METRICS_HEADER, cells)}
         try:
-            rows.append(MetricsReport(**{
-                name: _from_cell(hints[name], cell)
-                for name, cell in zip(METRICS_HEADER, cells)
-            }))
+            rows.append(MetricsReport(**values))
         except ValueError as exc:
-            raise ValueError(f"{path} line {lineno}: {exc}") from None
+            raise ValueError(f"{where}: {exc}") from None
     return rows
 
 
 def write_aggregated_csv(aggregates, path) -> None:
-    _write_rows(path, AGGREGATED_HEADER, (
+    write_rows(path, (
         [agg.method, agg.w, agg.n_seeds,
          *(x for name in REPORT_FIELDS for x in agg.stats[name])]
-        for agg in aggregates))
+        for agg in aggregates), header=AGGREGATED_HEADER)
 
 
 def write_report(result: RunResult, out_dir, sweep_points=None) -> list:
@@ -928,8 +894,8 @@ def write_report(result: RunResult, out_dir, sweep_points=None) -> list:
     write_metrics_csv(result.rows, out("metrics.csv"))
     write_aggregated_csv(result.aggregates, out("aggregated.csv"))
     if sweep_points is not None:
-        _write_rows(out("sweep.csv"), SWEEP_HEADER,
-                    ([getattr(p, c) for c in SWEEP_HEADER] for p in sweep_points))
+        write_rows(out("sweep.csv"), ([getattr(p, c) for c in SWEEP_HEADER]
+                                      for p in sweep_points), header=SWEEP_HEADER)
     manifest = {
         "format": REPORT_FORMAT,
         "config": config_to_dict(result.config),

@@ -22,17 +22,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import get_type_hints
 
 import numpy as np
 
+from .textio import parse_cell, read_rows, write_rows
+
 ARCH_KINDS = ("linear", "mlp1")
 ACTIVATIONS = ("tanh", "relu")
 LOSS_KINDS = ("ce_hard", "ce_soft", "kl_to_target", "neg_ce_hard")
-
-# Checkpoints, dataset CSVs and report CSVs print floats with 17
-# significant digits, which round-trips IEEE-754 doubles exactly.
-FLOAT_FMT = "%.17g"
 
 
 @dataclass(frozen=True)
@@ -510,37 +509,35 @@ def save_checkpoint(model: Model, path) -> None:
     Floats are printed with 17 significant digits so a load after save
     reproduces theta bit for bit.
     """
-    lines = [
+    header = [
         "unlearnlab-checkpoint v1",
         *(f"{name}={getattr(model.arch, name)}"
           for name in get_type_hints(ArchitectureSpec)),
         f"init_seed={model.init_seed}",
         f"num_params={model.theta.size}",
     ]
-    lines.extend(FLOAT_FMT % v for v in model.theta)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_rows(path, [*([line] for line in header), *([v] for v in model.theta)])
 
 
 def load_checkpoint(path) -> Model:
-    """Inverse of save_checkpoint."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != "unlearnlab-checkpoint v1":
+    """Inverse of save_checkpoint.  Blank lines are skipped, every value
+    must be finite, and a bad value raises ValueError naming its line."""
+    lines = read_rows(path)
+    if next(lines, (0, None))[1] != ["unlearnlab-checkpoint v1"]:
         raise ValueError(f"{path}: not an unlearnlab checkpoint")
+    hints = {**get_type_hints(ArchitectureSpec), "init_seed": int, "num_params": int}
     fields = {}
-    for ln in lines[1:8]:
-        key, _, val = ln.partition("=")
-        fields[key] = val
+    for lineno, (cell,) in islice(lines, len(hints)):
+        key, _, val = cell.partition("=")
+        if key in hints:
+            fields[key] = parse_cell(hints[key], val, f"{path} line {lineno}")
     try:
-        arch = ArchitectureSpec(**{name: hint(fields[name]) for name, hint
-                                   in get_type_hints(ArchitectureSpec).items()})
-        init_seed = int(fields["init_seed"])
-        count = int(fields["num_params"])
+        arch = ArchitectureSpec(**{name: fields[name]
+                                   for name in get_type_hints(ArchitectureSpec)})
+        init_seed, count = fields["init_seed"], fields["num_params"]
     except (KeyError, ValueError) as exc:
         raise ValueError(f"{path}: malformed checkpoint header") from exc
-    values = lines[8:]
-    if len(values) != count or count != arch.num_params:
+    theta = [parse_cell(float, cell, f"{path} line {lineno}") for lineno, (cell,) in lines]
+    if len(theta) != count or count != arch.num_params:
         raise ValueError(f"{path}: parameter count mismatch")
-    theta = np.array([float(v) for v in values], dtype=np.float64)
-    return Model(arch, theta, init_seed=init_seed)
+    return Model(arch, np.array(theta, dtype=np.float64), init_seed=init_seed)

@@ -220,3 +220,31 @@ def test_evaluate_accepts_another_kind_of_the_same_shape(cfg_path, tmp_path):
     assert rc == 0
     rows = ul.read_metrics_csv(out / "metrics.csv")
     assert [r.method for r in rows] == ["base", "retrain", "lin"]
+
+
+def test_evaluate_rejects_a_nan_checkpoint_naming_its_line(cfg_path, tiny_cfg,
+                                                          tmp_path, capsys):
+    ckpt = tmp_path / "nan.ckpt"
+    ul.save_checkpoint(ul.init_model(tiny_cfg.arch, seed=0), ckpt)
+    lines = ckpt.read_text().splitlines()
+    lines[-1] = "nan"
+    ckpt.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "eval"
+    rc = main(["evaluate", "--config", cfg_path, "--out", str(out), str(ckpt)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {ckpt} line {len(lines)}: expected a finite number, got 'nan'\n"
+    assert not (out / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("w", ["nan", "inf"])
+def test_report_rejects_a_non_finite_w(tmp_path, capsys, w):
+    row = ul.MetricsReport("regun", 0, 0.5, 95.0, 80.0, 90.0, 80.0, 1.0, 1.0, 50.0, 50.0)
+    path = tmp_path / "metrics.csv"
+    ul.harness.write_metrics_csv([row], path)
+    header, line = path.read_text().splitlines()
+    path.write_text(f"{header}\n{line.replace(',0.5,', f',{w},')}\n")
+    rc = main(["report", "--out", str(tmp_path)])
+    assert rc == 2
+    assert f"{path} line 2: expected a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "aggregated.csv").exists()

@@ -661,3 +661,24 @@ def test_report_csv_rejects_separator_cells(tmp_path, sep):
     with pytest.raises(ValueError, match="separator"):
         write_metrics_csv([row], path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("w", ["nan", "inf", "-inf"])
+def test_read_metrics_csv_rejects_a_non_finite_w(tmp_path, w):
+    path = tmp_path / "metrics.csv"
+    write_metrics_csv([make_report("regun", 0, 0.5, 80.0, 80.0)], path)
+    header, row = path.read_text().splitlines()
+    path.write_text(f"{header}\n{row.replace(',0.5,', f',{w},')}\n")
+    with pytest.raises(ValueError) as info:
+        ul.read_metrics_csv(path)
+    assert str(info.value) == f"{path} line 2: expected a finite number, got {w!r}"
+
+
+def test_read_metrics_csv_names_the_line_of_an_out_of_range_value_once(tmp_path):
+    path = tmp_path / "metrics.csv"
+    write_metrics_csv([make_report("base", 0, None, 80.0, 80.0)], path)
+    header, row = path.read_text().splitlines()
+    path.write_text(f"{header}\n\n{row.replace(',80,', ',120,', 1)}\n")
+    with pytest.raises(ValueError) as info:
+        ul.read_metrics_csv(path)
+    assert str(info.value) == f"{path} line 3: forget_acc=120.0 outside [0, 100]"

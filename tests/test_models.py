@@ -471,3 +471,38 @@ def test_checkpoint_rejects_truncated_theta(tmp_path, toy):
     path.write_text("\n".join(lines[:-3]) + "\n")
     with pytest.raises(ValueError):
         ul.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "abc"])
+def test_checkpoint_rejects_a_bad_value_naming_its_line(tmp_path, toy, bad):
+    path = tmp_path / "model.ckpt"
+    ul.save_checkpoint(toy.base, path)
+    lines = path.read_text().splitlines()
+    lines[11] = bad
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as info:
+        ul.load_checkpoint(path)
+    assert str(info.value) == f"{path} line 12: expected a finite number, got {bad!r}"
+
+
+def test_checkpoint_rejects_a_bad_header_value_naming_its_line(tmp_path, toy):
+    path = tmp_path / "model.ckpt"
+    ul.save_checkpoint(toy.base, path)
+    text = path.read_text()
+    path.write_text(text.replace("input_dim=", "input_dim=x", 1))
+    with pytest.raises(ValueError, match="line 3: expected an integer, got 'x"):
+        ul.load_checkpoint(path)
+
+
+def test_checkpoint_skips_blank_lines_but_still_counts_values(tmp_path, toy):
+    path = tmp_path / "model.ckpt"
+    ul.save_checkpoint(toy.base, path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(["", *lines[:5], "  ", *lines[5:12], ""]
+                              + lines[12:]) + "\n\n")
+    loaded = ul.load_checkpoint(path)
+    assert loaded.arch == toy.base.arch
+    assert np.array_equal(loaded.theta.view(np.uint64), toy.base.theta.view(np.uint64))
+    path.write_text("\n".join(lines[:-1] + [""]) + "\n")
+    with pytest.raises(ValueError, match="parameter count mismatch"):
+        ul.load_checkpoint(path)
