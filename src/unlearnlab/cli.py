@@ -88,12 +88,14 @@ def cmd_unlearn(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = _config_from_args(args)
     seed = _one_seed(cfg, args)
+    # every checkpoint is read before the seed is trained, so a bad one
+    # fails at once
+    models = [(os.path.splitext(os.path.basename(path))[0], load_checkpoint(path))
+              for path in args.checkpoints]
     ctx = prepare_seed(cfg, seed)
     base, retrain = score_base_and_retrain(ctx)
     rows = [base, retrain]
-    for path in args.checkpoints:
-        name = os.path.splitext(os.path.basename(path))[0]
-        model = load_checkpoint(path)
+    for name, model in models:
         rows.append(with_gaps(evaluate_model(name, model, ctx), retrain))
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "metrics.csv")

@@ -815,19 +815,21 @@ def sweep_tradeoff(cfg: ExperimentConfig, method: str, w_grid,
     retrain_rows = {r.seed: r for r in result.rows if r.method == "retrain"}
     contexts = [ctx for _, ctx in sorted(result.contexts.items())]
     ws = [float(w) for w in w_grid]
+    # units run seed by seed, so the points of a seed follow each other
+    # and share its cached step plan; columns[i] holds w_i's seeds
     with _mapper(workers) as pmap:
-        scored = list(pmap(_score_unit, contexts * len(ws), [
+        scored = list(pmap(_score_unit, [ctx for ctx in contexts for _ in ws], [
             replace(anchor, w=w, seed=derive_seed(ctx.seed, "unlearn"))
-            for w in ws for ctx in contexts]))
-    for failure in scored:
+            for ctx in contexts for w in ws]))
+    columns = [scored[i::len(ws)] for i in range(len(ws))]
+    for failure in (unit for column in columns for unit in column):
         if isinstance(failure, SeedFailure):
             raise ValueError(f"sweep of {method} failed on seed {failure.seed} "
                              f"at {failure.stage}: {failure.error}")
 
     points = []
-    for i, w in enumerate(ws):
-        reports = [with_gaps(report, retrain_rows[report.seed])
-                   for report in scored[i * len(contexts):(i + 1) * len(contexts)]]
+    for w, column in zip(ws, columns):
+        reports = [with_gaps(report, retrain_rows[report.seed]) for report in column]
         stats = aggregate_seeds(reports)
         # the statistic fields are named <report field>_mean / _std
         points.append(SweepPoint(method, w, len(reports), **{

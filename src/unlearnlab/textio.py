@@ -6,7 +6,8 @@ values with str, and refuses a cell holding ',', '\\n' or '\\r' before
 it opens the file.  The reader splits lines at exactly those breaks and
 skips blank lines.  A line whose cell count differs from the first
 line's, or a cell that does not parse as its type (floats must be
-finite), raises ValueError naming the file and the 1-based line.
+finite), raises ValueError naming the file and the 1-based line; a
+file that is not UTF-8 raises ValueError naming the file.
 """
 
 from __future__ import annotations
@@ -40,9 +41,13 @@ def write_rows(path, rows, header=None) -> None:
 
 
 def read_rows(path):
-    """Yield ``(lineno, cells)`` for each non-blank line of ``path``."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    """Yield ``(lineno, cells)`` for each non-blank line of ``path``.
+    A file that is not UTF-8 raises ValueError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     width = None
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():

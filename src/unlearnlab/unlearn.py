@@ -19,6 +19,7 @@ A zero epoch budget is the identity for every method.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 
@@ -38,7 +39,7 @@ from .models import (
     sgd_step,
     train,
 )
-from .reference import RefDistConfig, build_refdist
+from .reference import _check_reference, _matched_picks, _rows_by_class, _stacked_refdists
 
 # Gradient ascent diverges quickly under a full unlearning budget, so
 # neggrad always runs exactly this many epochs (a zero budget still
@@ -164,20 +165,126 @@ def neggrad(model: Model, splits: DataSplits, data: Dataset,
     return _run("neggrad", model, splits, data, cfg)
 
 
+@dataclass(frozen=True, eq=False)
+class _StepPlan:
+    """Everything a paired run draws, drawn ahead of its first step.
+
+    ``order[e]`` is epoch e's shuffle of the forget rows, cut into
+    batches in order; step t, counted over all epochs, takes the retain
+    rows ``retain[t]`` and, for the "kl_to_target" forget loss, the
+    reference distribution ``targets[t]`` (None otherwise).  The arrays
+    are read-only because one plan serves many runs.
+    """
+
+    order: np.ndarray
+    retain: np.ndarray
+    targets: np.ndarray | None
+
+
+# Steps whose reference picks are forwarded as one stack; a larger stack
+# saves little time and its temporaries cost memory.
+_STACK_STEPS = 8
+
+# The one cached (key, plan) pair of this process.
+_plan_slot = None
+
+
+def _plan_key(data, splits, cfg, forget_loss, reference) -> str:
+    """A digest of everything _build_plan reads, by content: pool
+    workers unpickle fresh copies of the same arrays for every unit."""
+    h = hashlib.sha1(repr((
+        cfg.seed, cfg.epochs, cfg.batch_size, cfg.retain_batch_size or cfg.batch_size,
+        cfg.num_matched, forget_loss, data.num_classes)).encode())
+    arrays = [splits.forget, splits.retain, splits.held_out, data.labels]
+    if forget_loss == "kl_to_target":
+        h.update(repr(reference.arch).encode())
+        held_out = np.asarray(splits.held_out, dtype=np.int64)
+        arrays += [data.features[held_out], reference.theta]
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a)
+    return h.hexdigest()
+
+
+def _step_plan(data, splits, cfg, forget_loss, reference) -> _StepPlan:
+    """The run's plan, from this process's one-plan cache when the last
+    plan built had the same inputs.  The old plan is dropped before a new
+    one is built, so two are never held at once, and a plan that fails
+    to build (say, on a CoverageError) is not cached."""
+    global _plan_slot
+    key = _plan_key(data, splits, cfg, forget_loss, reference)
+    if _plan_slot is None or _plan_slot[0] != key:
+        _plan_slot = None
+        _plan_slot = (key, _build_plan(data, splits, cfg, forget_loss, reference))
+    return _plan_slot[1]
+
+
+def _build_plan(data, splits, cfg, forget_loss, reference) -> _StepPlan:
+    """Consume ``default_rng(cfg.seed)`` as the paired loop always has:
+    the epoch shuffle of the forget rows, then per step the retain
+    batch draw and, for "kl_to_target", build_refdist's held-out picks.
+
+    The picks of up to _STACK_STEPS consecutive steps with the same pick
+    count are forwarded through the frozen ``reference`` as one stack.
+    Sampling errors, CoverageError among them, rise here, before any
+    step is taken, with build_refdist's types and messages.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    forget = np.asarray(splits.forget, dtype=np.int64)
+    retain = np.asarray(splits.retain, dtype=np.int64)
+    retain_bs = cfg.retain_batch_size or cfg.batch_size
+    steps = cfg.epochs * -(-forget.size // cfg.batch_size)
+    order = np.empty((cfg.epochs, forget.size), dtype=np.int64)
+    retain_rows = np.empty((steps, retain_bs), dtype=np.int64)
+    targets = None
+    if forget_loss == "kl_to_target":
+        labels = np.asarray(data.labels, dtype=np.int64)
+        held_out = np.asarray(splits.held_out, dtype=np.int64)
+        _check_reference(data, held_out, reference)
+        by_class = _rows_by_class(data, held_out)
+        targets = np.empty((steps, data.num_classes))
+    stack = []
+
+    def flush(stop):
+        targets[stop - len(stack):stop] = _stacked_refdists(
+            reference, data.features[np.stack(stack)])
+        stack.clear()
+
+    t = 0
+    for epoch in range(cfg.epochs):
+        order[epoch] = forget[rng.permutation(forget.size)]
+        for start in range(0, forget.size, cfg.batch_size):
+            retain_rows[t] = sample_minibatch(retain, retain_bs, rng)
+            if targets is not None:
+                batch_f = order[epoch, start : start + cfg.batch_size]
+                picks = _matched_picks(labels[batch_f], by_class,
+                                       cfg.num_matched, rng)
+                if stack and (len(stack) == _STACK_STEPS or stack[0].size != picks.size):
+                    flush(t)
+                stack.append(picks)
+            t += 1
+    if stack:
+        flush(t)
+    for table in (order, retain_rows, targets):
+        if table is not None:
+            table.setflags(write=False)
+    return _StepPlan(order, retain_rows, targets)
+
+
 def _paired_updates(model, splits, data, cfg, forget_loss, reference):
     """Epochs over the forget set with a fresh retain batch per step.
 
-    One generator drives everything in a fixed per-step order: the epoch
-    shuffle of the forget indices, then for each forget batch the retain
-    batch draw, then, for the "kl_to_target" forget loss, the held-out
-    sampling of build_refdist with the frozen ``reference`` model.  The
-    combined gradient is (1 - w) * forget + w * retain.  Features and
+    Every draw comes from the run's step plan (see _build_plan), which
+    depends on the seed, the loader knobs, the index sets, the pool
+    labels and, for "kl_to_target", the frozen ``reference`` model, but
+    never on lr, w, momentum or the model being edited.  So all grid
+    points of a method on one seed share one plan, cached per process.
+    The combined gradient is (1 - w) * forget + w * retain.  Features and
     labels of the forget and retain sets are checked once, before the
-    first step.
+    plan is built.
     """
-    rng = np.random.default_rng(cfg.seed)
     opt = init_opt_state(model, cfg.lr, cfg.momentum)
-    retain_bs = cfg.retain_batch_size or cfg.batch_size
     forget = np.asarray(splits.forget, dtype=np.int64)
     if forget.size == 0:
         raise ValueError("forget index set is empty")
@@ -185,23 +292,20 @@ def _paired_updates(model, splits, data, cfg, forget_loss, reference):
         return model
     ce = LossSpec("ce_hard")
     fixed = None if forget_loss == "kl_to_target" else LossSpec(forget_loss)
-    ref_cfg = RefDistConfig(num_matched=cfg.num_matched)
     retain = np.asarray(splits.retain, dtype=np.int64)
     x, y0 = _loop_rows(model, data, ce, forget, retain)
-    for _ in range(cfg.epochs):
-        shuffled = forget[rng.permutation(forget.size)]
-        for start in range(0, shuffled.size, cfg.batch_size):
-            batch_f = shuffled[start : start + cfg.batch_size]
-            batch_r = sample_minibatch(retain, retain_bs, rng)
-            spec_f = fixed
-            if spec_f is None:
-                q = build_refdist(data.labels[batch_f], data, splits.held_out,
-                                  reference, ref_cfg, rng=rng)
-                spec_f = LossSpec("kl_to_target", soft_target=q)
-            _, g_f = _grad(model, x[batch_f], y0[batch_f], spec_f)
-            _, g_r = _grad(model, x[batch_r], y0[batch_r], ce)
-            combined = (1.0 - cfg.w) * g_f + cfg.w * g_r
-            model, opt = sgd_step(model, combined, opt)
+    plan = _step_plan(data, splits, cfg, forget_loss, reference)
+    forget_batches = (shuffled[start : start + cfg.batch_size] for shuffled in plan.order
+                      for start in range(0, shuffled.size, cfg.batch_size))
+    for t, batch_f in enumerate(forget_batches):
+        batch_r = plan.retain[t]
+        spec_f = fixed
+        if spec_f is None:
+            spec_f = LossSpec("kl_to_target", soft_target=plan.targets[t])
+        _, g_f = _grad(model, x[batch_f], y0[batch_f], spec_f)
+        _, g_r = _grad(model, x[batch_r], y0[batch_r], ce)
+        combined = (1.0 - cfg.w) * g_f + cfg.w * g_r
+        model, opt = sgd_step(model, combined, opt)
     return model
 
 

@@ -248,3 +248,47 @@ def test_report_rejects_a_non_finite_w(tmp_path, capsys, w):
     assert rc == 2
     assert f"{path} line 2: expected a finite number" in capsys.readouterr().err
     assert not (tmp_path / "aggregated.csv").exists()
+
+
+def test_evaluate_reads_every_checkpoint_before_training(cfg_path, tiny_cfg,
+                                                        tmp_path, capsys,
+                                                        monkeypatch):
+    # a bad checkpoint must fail before the seed is built: were the seed
+    # prepared first, this stand-in would raise its own message
+    def no_training(*args, **kwargs):
+        raise ValueError("prepare_seed ran")
+
+    monkeypatch.setattr("unlearnlab.cli.prepare_seed", no_training)
+    good = tmp_path / "good.ckpt"
+    ul.save_checkpoint(ul.init_model(tiny_cfg.arch, seed=0), good)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_text("not a checkpoint\n")
+    out = tmp_path / "eval"
+    rc = main(["evaluate", "--config", cfg_path, "--out", str(out), str(good), str(bad)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {bad}: not an unlearnlab checkpoint\n"
+    assert not (out / "metrics.csv").exists()
+
+
+def test_report_names_a_metrics_file_that_is_not_utf8(tmp_path, capsys):
+    row = ul.MetricsReport("regun", 0, 0.5, 95.0, 80.0, 90.0, 80.0, 1.0, 1.0, 50.0, 50.0)
+    path = tmp_path / "metrics.csv"
+    ul.harness.write_metrics_csv([row], path)
+    path.write_bytes(path.read_bytes().replace(b"regun", b"reg\xffn"))
+    rc = main(["report", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not UTF-8 text: ")
+    assert "0xff" in err
+    assert not (tmp_path / "aggregated.csv").exists()
+
+
+def test_evaluate_names_a_checkpoint_that_is_not_utf8(cfg_path, tiny_cfg,
+                                                     tmp_path, capsys):
+    ckpt = tmp_path / "latin.ckpt"
+    ul.save_checkpoint(ul.init_model(tiny_cfg.arch, seed=0), ckpt)
+    ckpt.write_bytes(ckpt.read_bytes() + b"\xff\n")
+    rc = main(["evaluate", "--config", cfg_path, "--out", str(tmp_path / "eval"),
+               str(ckpt)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {ckpt}: not UTF-8 text: ")

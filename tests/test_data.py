@@ -296,6 +296,13 @@ def test_load_csv_errors_name_the_line(tmp_path):
         ul.load_csv(bad)
 
 
+def test_load_csv_names_a_file_that_is_not_utf8(tmp_path):
+    bad = tmp_path / "latin.csv"
+    bad.write_bytes(b"0.0,1.0,1\n0.0,\xff,2\n")
+    with pytest.raises(DataError) as info:
+        ul.load_csv(bad)
+    assert str(info.value).startswith(f"{bad}: not UTF-8 text: ")
+
 def test_load_csv_takes_the_class_count_it_is_given(tmp_path):
     path = tmp_path / "two.csv"
     path.write_text("0.0,1.0,1\n1.0,0.0,2\n")

@@ -1,18 +1,21 @@
-"""Property tests: the attack AUC, histogram matching, pool splits and
-bit-exact round trips of every row file."""
+"""Property tests: the attack AUC, histogram matching, pool splits,
+bit-exact round trips of every row file, exact gradients and the step
+plans of the paired unlearning methods."""
 
+import importlib
 import math
 import struct
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import unlearnlab as ul
-from unlearnlab import AttackScores
+from unlearnlab import AttackScores, LossSpec, UnlearnConfig
 from unlearnlab.harness import METRICS_HEADER, write_metrics_csv
 from unlearnlab.metrics import REPORT_FIELDS
 
@@ -192,3 +195,211 @@ def test_metrics_csv_round_trip_is_bitwise(rows):
     back = round_trip(write_metrics_csv, ul.read_metrics_csv, rows)
     assert [[bits(getattr(r, c)) for c in METRICS_HEADER] for r in back] == \
         [[bits(getattr(r, c)) for c in METRICS_HEADER] for r in rows]
+
+
+# ------------------------------------------------------------ exact gradients
+
+
+def fd_gradient(fn, theta, h=1e-4):
+    """Fourth-order central differences, coordinate by coordinate.
+
+    With h = 1e-4 the truncation error (~h^4) is negligible and the
+    rounding error (~1e-16 / h) is a few 1e-12, so entries above 1e-5
+    are resolved to a relative 1e-6.  Plain central differences at
+    h = 1e-5, with ~1e-11 of rounding error, miss that on entries near
+    1e-5 by rounding alone.
+    """
+    grad = np.empty_like(theta)
+    for i in range(theta.size):
+        at = []
+        for step in (-2.0, -1.0, 1.0, 2.0):
+            t = theta.copy()
+            t[i] += step * h
+            at.append(fn(t))
+        grad[i] = (8.0 * (at[2] - at[1]) - (at[3] - at[0])) / (12.0 * h)
+    return grad
+
+
+def draw_model(draw, rng, d, k):
+    """A linear or mlp1 model on (d, k) with random N(0, 0.7) weights."""
+    if draw(st.booleans()):
+        arch = ul.ArchitectureSpec("linear", d, k)
+    else:
+        arch = ul.ArchitectureSpec("mlp1", d, k, hidden_dim=draw(st.integers(1, 6)),
+                                   activation=draw(st.sampled_from(["tanh", "relu"])))
+    return ul.Model(arch, rng.normal(scale=0.7, size=arch.num_params))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 4), st.integers(2, 4), st.integers(1, 5),
+       st.sampled_from(ul.models.LOSS_KINDS), st.sampled_from([0.0, 0.01, 0.3]),
+       st.integers(0, 2**32 - 1))
+def test_gradients_match_finite_differences_on_random_models(
+        data, d, k, n, loss_kind, l1_weight, seed):
+    rng = np.random.default_rng(seed)
+    model = draw_model(data.draw, rng, d, k)
+    # relu and |theta| have kinks without a derivative: keep every
+    # parameter and hidden pre-activation clear of them by more than
+    # the largest difference step can move it
+    theta = model.theta
+    model = model.with_theta(np.where(np.abs(theta) < 1e-3, np.copysign(1e-3, theta), theta))
+    x = rng.normal(size=(n, d))
+    if model.arch.kind == "mlp1" and model.arch.activation == "relu":
+        w1, b1 = ul.models.unpack_params(model)[0]
+        assume(np.abs(x @ w1.T + b1).min() > 1e-2)
+    soft = loss_kind in ("ce_soft", "kl_to_target")
+    spec = LossSpec(loss_kind, soft_target=rng.dirichlet(np.ones(k)) if soft else None,
+                    l1_weight=l1_weight)
+    labels = None if soft else rng.integers(1, k + 1, size=n)
+
+    def loss_at(theta):
+        return ul.loss_and_grad(model.with_theta(theta), x, labels, spec)[0]
+
+    _, grad = ul.loss_and_grad(model, x, labels, spec)
+    fd = fd_gradient(loss_at, model.theta)
+    # entries below 1e-5 (a dead relu unit, an L1 term cancelling the
+    # data term) are compared absolutely, to the differences' resolution
+    rel = np.abs(grad - fd) / np.maximum(np.maximum(np.abs(grad), np.abs(fd)), 1e-5)
+    assert rel.max() < 1e-6
+
+
+# -------------------------------------------------------- paired step plans
+
+# the package attribute ``unlearn`` is the dispatch function, not the module
+unlearn_module = importlib.import_module("unlearnlab.unlearn")
+
+
+def public_paired_loop(model, pool, splits, cfg, reference):
+    """The paired update loop written with public functions only: per
+    step a retain batch from sample_minibatch, for regun a target from
+    build_refdist, two loss_and_grad calls and one sgd_step."""
+    rng = np.random.default_rng(cfg.seed)
+    opt = ul.init_opt_state(model, cfg.lr, cfg.momentum)
+    retain_bs = cfg.retain_batch_size or cfg.batch_size
+    ce = LossSpec("ce_hard")
+    for _ in range(cfg.epochs):
+        shuffled = splits.forget[rng.permutation(splits.forget.size)]
+        for start in range(0, shuffled.size, cfg.batch_size):
+            batch_f = shuffled[start : start + cfg.batch_size]
+            batch_r = ul.sample_minibatch(splits.retain, retain_bs, rng)
+            if cfg.method == "regun":
+                q = ul.build_refdist(pool.labels[batch_f], pool, splits.held_out,
+                                     reference, ul.RefDistConfig(num_matched=cfg.num_matched),
+                                     rng=rng)
+                fy, fspec = None, LossSpec("kl_to_target", soft_target=q)
+            else:
+                fy, fspec = pool.labels[batch_f], LossSpec("neg_ce_hard")
+            _, g_f = ul.loss_and_grad(model, pool.features[batch_f], fy, fspec)
+            _, g_r = ul.loss_and_grad(model, pool.features[batch_r],
+                                      pool.labels[batch_r], ce)
+            model, opt = ul.sgd_step(model, (1.0 - cfg.w) * g_f + cfg.w * g_r, opt)
+    return model
+
+
+@st.composite
+def paired_runs(draw):
+    """(model, reference, pool, splits, cfg): a random pool of n rows in
+    k classes cut into held-out, forget, retain and spare (validation)
+    rows, a random model, and a paired-method config whose batches often
+    leave a short last batch."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d, k = draw(st.integers(1, 4)), draw(st.integers(2, 4))
+    sizes = [draw(st.integers(lo, hi)) for lo, hi in ((k, 12), (1, 11), (1, 12), (1, 3))]
+    n = sum(sizes)
+    labels = np.concatenate([np.arange(k) + 1, rng.integers(1, k + 1, size=n - k)])
+    pool = ul.Dataset(rng.normal(size=(n, d)), labels, k)
+    perm = rng.permutation(np.arange(k, n))
+    held, forget, retain, spare = (np.sort(part) for part in np.split(
+        np.concatenate([np.arange(k), perm]), np.cumsum(sizes)[:-1]))
+    splits = ul.DataSplits(held, forget, spare, retain, pool)
+    model = draw_model(draw, rng, d, k)
+    reference = model if draw(st.booleans()) else model.with_theta(
+        rng.normal(scale=0.7, size=model.theta.size))
+    cfg = UnlearnConfig(
+        method=draw(st.sampled_from(["regun", "neggrad_plus"])),
+        lr=0.05, epochs=draw(st.integers(1, 3)),
+        batch_size=draw(st.sampled_from([1, 2, 3, 4, 5, 16])),
+        retain_batch_size=draw(st.sampled_from([None, 1, 3, 16])),
+        w=draw(st.floats(0.0, 1.0)), momentum=0.9,
+        num_matched=draw(st.sampled_from([None, 1, 7])),
+        seed=draw(st.integers(0, 2**32 - 1)))
+    return model, reference, pool, splits, cfg
+
+
+def unlearned(model, reference, pool, splits, cfg):
+    if cfg.method == "regun":
+        return ul.regun(model, splits, pool, cfg, reference=reference)
+    return ul.neggrad_plus(model, splits, pool, cfg)
+
+
+@settings(max_examples=150, deadline=None)
+@given(paired_runs())
+def test_plan_replay_equals_the_public_loop_bit_for_bit(run):
+    model, reference, pool, splits, cfg = run
+    want = public_paired_loop(model, pool, splits, cfg, reference)
+    got = unlearned(model, reference, pool, splits, cfg)
+    assert np.array_equal(got.theta.view(np.uint64), want.theta.view(np.uint64))
+    # a second run is served from the cache and gives the same bits
+    again = unlearned(model, reference, pool, splits, cfg)
+    assert np.array_equal(again.theta.view(np.uint64), want.theta.view(np.uint64))
+
+
+def variants(model, reference, pool, splits, rng):
+    """Runs that differ from the given one in one input of its plan only."""
+    relabelled = pool.labels.copy()
+    relabelled[splits.held_out] = rng.permutation(relabelled[splits.held_out])
+    relabelled[splits.forget] = rng.integers(1, pool.num_classes + 1,
+                                             size=splits.forget.size)
+    moved = pool.features.copy()
+    moved[splits.held_out] += 1.0
+    held = np.sort(np.concatenate([splits.held_out, splits.validation[:1]]))
+    return [
+        ("reference", model, reference.with_theta(reference.theta + 0.5), pool, splits),
+        ("held-out set", model, reference, pool, ul.DataSplits(
+            held, splits.forget, splits.validation[1:], splits.retain, pool)),
+        ("relabelled pool", model, reference,
+         ul.Dataset(pool.features, relabelled, pool.num_classes), splits),
+        ("held-out features", model, reference,
+         ul.Dataset(moved, pool.labels, pool.num_classes), splits),
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(paired_runs(), st.integers(0, 2**32 - 1))
+def test_the_plan_cache_is_never_stale(run, seed):
+    model, reference, pool, splits, cfg = run
+    for what, *other in variants(model, reference, pool, splits,
+                                 np.random.default_rng(seed)):
+        unlearned(model, reference, pool, splits, cfg)  # caches this run's plan
+        want = public_paired_loop(other[0], other[2], other[3], cfg, other[1])
+        got = unlearned(*other, cfg)
+        assert np.array_equal(got.theta.view(np.uint64),
+                              want.theta.view(np.uint64)), what
+
+
+def test_the_paired_methods_share_no_plan(toy):
+    kw = dict(lr=0.05, epochs=2, batch_size=4, w=0.5, momentum=0.9, seed=3)
+    regun_cfg = UnlearnConfig(method="regun", **kw)
+    ngp_cfg = UnlearnConfig(method="neggrad_plus", **kw)
+    for cfg in (regun_cfg, ngp_cfg, regun_cfg):
+        got = unlearned(toy.base, toy.base, toy.pool, toy.splits, cfg)
+        want = public_paired_loop(toy.base, toy.pool, toy.splits, cfg, toy.base)
+        assert np.array_equal(got.theta, want.theta), cfg.method
+
+
+def test_a_coverage_error_caches_nothing(toy):
+    cfg = UnlearnConfig(method="regun", lr=0.05, epochs=2, batch_size=4, seed=3)
+    before = unlearned(toy.base, toy.base, toy.pool, toy.splits, cfg)
+    slot = unlearn_module._plan_slot
+    # relabel every held-out row of class 3 so class 3 has no held-out rows
+    labels = toy.pool.labels.copy()
+    held = toy.splits.held_out
+    labels[held[labels[held] == 3]] = 1
+    uncovered = ul.Dataset(toy.pool.features, labels, toy.pool.num_classes)
+    with pytest.raises(ul.CoverageError, match="class 3 needs"):
+        unlearned(toy.base, toy.base, uncovered, toy.splits, cfg)
+    with pytest.raises(ul.CoverageError, match="class 3 needs"):
+        public_paired_loop(toy.base, uncovered, toy.splits, cfg, toy.base)
+    assert unlearn_module._plan_slot in (None, slot)
+    after = unlearned(toy.base, toy.base, toy.pool, toy.splits, cfg)
+    assert np.array_equal(after.theta, before.theta)
