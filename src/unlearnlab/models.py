@@ -224,10 +224,9 @@ def forward_probs(model: Model, x: np.ndarray) -> np.ndarray:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, so a stack of batches works too."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def kl_divergence(q: np.ndarray, p: np.ndarray) -> float:

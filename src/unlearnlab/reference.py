@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, class_histogram
-from .models import Model, _forward_cached, _softmax, forward_probs
+from .models import Model, forward_probs
 
 
 class CoverageError(ValueError):
@@ -73,48 +73,6 @@ def match_histogram(counts, total: int, target_total: int) -> np.ndarray:
     return out
 
 
-def _check_reference(pool: Dataset, held_out: np.ndarray,
-                    reference_model: Model) -> None:
-    """What build_refdist checks of its pool before sampling."""
-    if held_out.size == 0:
-        raise ValueError("held-out index set is empty")
-    if reference_model.arch.num_classes != pool.num_classes:
-        raise ValueError("reference model and pool disagree on num_classes")
-
-
-def _rows_by_class(pool: Dataset, held_out: np.ndarray) -> list:
-    """The held-out rows of each class, in class order."""
-    held_labels = pool.labels[held_out]
-    return [held_out[held_labels == cls + 1] for cls in range(pool.num_classes)]
-
-
-def _matched_picks(forget_labels: np.ndarray, by_class: list,
-                   num_matched: int | None,
-                   rng: np.random.Generator) -> np.ndarray:
-    """The held-out rows one forget batch averages over.
-
-    The batch's class histogram is rescaled to ``num_matched`` rows (None
-    keeps the batch size) by match_histogram, and each class with a
-    non-zero share draws its rows from ``by_class`` in ascending class
-    order: without replacement when the class has enough rows, with
-    replacement otherwise.  Raises CoverageError if a class with a share
-    has no rows at all.
-    """
-    batch = forget_labels.size
-    hist = class_histogram(forget_labels, len(by_class))
-    target = batch if num_matched is None else num_matched
-    matched = match_histogram(hist, batch, target)
-    chosen = []
-    for cls in np.flatnonzero(matched):
-        need, avail = int(matched[cls]), by_class[cls]
-        if avail.size == 0:
-            raise CoverageError(
-                f"class {cls + 1} needs {need} held-out rows but has none"
-            )
-        chosen.append(rng.choice(avail, size=need, replace=need > avail.size))
-    return np.concatenate(chosen)
-
-
 def build_refdist(forget_labels, pool: Dataset, held_out,
                   reference_model: Model, config: RefDistConfig,
                   rng: np.random.Generator | None = None) -> np.ndarray:
@@ -143,24 +101,29 @@ def build_refdist(forget_labels, pool: Dataset, held_out,
     if forget_labels.size == 0:
         raise ValueError("forget batch is empty")
     held_out = np.asarray(held_out, dtype=np.int64)
-    _check_reference(pool, held_out, reference_model)
+    if held_out.size == 0:
+        raise ValueError("held-out index set is empty")
+    k = pool.num_classes
+    if reference_model.arch.num_classes != k:
+        raise ValueError("reference model and pool disagree on num_classes")
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    picks = _matched_picks(forget_labels, _rows_by_class(pool, held_out),
-                           config.num_matched, rng)
+    batch = forget_labels.size
+    hist = class_histogram(forget_labels, k)
+    target = batch if config.num_matched is None else config.num_matched
+    matched = match_histogram(hist, batch, target)
+    held_labels = pool.labels[held_out]
+    chosen = []
+    for cls in range(k):
+        need = int(matched[cls])
+        if need == 0:
+            continue
+        avail = held_out[held_labels == cls + 1]
+        if avail.size == 0:
+            raise CoverageError(
+                f"class {cls + 1} needs {need} held-out rows but has none"
+            )
+        chosen.append(rng.choice(avail, size=need, replace=need > avail.size))
+    picks = np.concatenate(chosen)
     probs = forward_probs(reference_model, pool.features[picks])
     return probs.mean(axis=0)
-
-
-def _stacked_refdists(reference_model: Model, features: np.ndarray) -> np.ndarray:
-    """build_refdist's average for a stack of batches at once.
-
-    ``features`` holds the picked rows of S batches of n rows each,
-    shape (S, n, input_dim); row s of the (S, num_classes) result equals
-    build_refdist's q for batch s bit for bit, because the stacked
-    matmul runs the same kernel on each (n, input_dim) slice.
-    Forwarding all held-out rows once and indexing the result would
-    not: OpenBLAS row results depend on the row count.
-    """
-    logits, _, _ = _forward_cached(reference_model, features)
-    return _softmax(logits).mean(axis=1)

@@ -39,7 +39,7 @@ from .models import (
     sgd_step,
     train,
 )
-from .reference import _check_reference, _matched_picks, _rows_by_class, _stacked_refdists
+from .reference import RefDistConfig, build_refdist
 
 # Gradient ascent diverges quickly under a full unlearning budget, so
 # neggrad always runs exactly this many epochs (a zero budget still
@@ -181,10 +181,6 @@ class _StepPlan:
     targets: np.ndarray | None
 
 
-# Steps whose reference picks are forwarded as one stack; a larger stack
-# saves little time and its temporaries cost memory.
-_STACK_STEPS = 8
-
 # The one cached (key, plan) pair of this process.
 _plan_slot = None
 
@@ -223,12 +219,11 @@ def _step_plan(data, splits, cfg, forget_loss, reference) -> _StepPlan:
 def _build_plan(data, splits, cfg, forget_loss, reference) -> _StepPlan:
     """Consume ``default_rng(cfg.seed)`` as the paired loop always has:
     the epoch shuffle of the forget rows, then per step the retain
-    batch draw and, for "kl_to_target", build_refdist's held-out picks.
+    batch draw and, for "kl_to_target", build_refdist's held-out picks
+    with the frozen ``reference``.
 
-    The picks of up to _STACK_STEPS consecutive steps with the same pick
-    count are forwarded through the frozen ``reference`` as one stack.
     Sampling errors, CoverageError among them, rise here, before any
-    step is taken, with build_refdist's types and messages.
+    step is taken, with their usual types and messages.
     """
     rng = np.random.default_rng(cfg.seed)
     forget = np.asarray(splits.forget, dtype=np.int64)
@@ -239,18 +234,8 @@ def _build_plan(data, splits, cfg, forget_loss, reference) -> _StepPlan:
     retain_rows = np.empty((steps, retain_bs), dtype=np.int64)
     targets = None
     if forget_loss == "kl_to_target":
-        labels = np.asarray(data.labels, dtype=np.int64)
-        held_out = np.asarray(splits.held_out, dtype=np.int64)
-        _check_reference(data, held_out, reference)
-        by_class = _rows_by_class(data, held_out)
         targets = np.empty((steps, data.num_classes))
-    stack = []
-
-    def flush(stop):
-        targets[stop - len(stack):stop] = _stacked_refdists(
-            reference, data.features[np.stack(stack)])
-        stack.clear()
-
+        ref_cfg = RefDistConfig(num_matched=cfg.num_matched)
     t = 0
     for epoch in range(cfg.epochs):
         order[epoch] = forget[rng.permutation(forget.size)]
@@ -258,14 +243,9 @@ def _build_plan(data, splits, cfg, forget_loss, reference) -> _StepPlan:
             retain_rows[t] = sample_minibatch(retain, retain_bs, rng)
             if targets is not None:
                 batch_f = order[epoch, start : start + cfg.batch_size]
-                picks = _matched_picks(labels[batch_f], by_class,
-                                       cfg.num_matched, rng)
-                if stack and (len(stack) == _STACK_STEPS or stack[0].size != picks.size):
-                    flush(t)
-                stack.append(picks)
+                targets[t] = build_refdist(data.labels[batch_f], data, splits.held_out,
+                                           reference, ref_cfg, rng=rng)
             t += 1
-    if stack:
-        flush(t)
     for table in (order, retain_rows, targets):
         if table is not None:
             table.setflags(write=False)

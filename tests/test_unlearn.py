@@ -297,6 +297,15 @@ def test_paired_methods_check_feature_width(method, toy):
         ul.unlearn(toy.base, toy.splits, toy.narrow_pool(), cfg)
 
 
+def test_regun_names_a_reference_of_another_width(toy):
+    # a reference passed by the caller goes through the same input
+    # checks as any forward, so a width mismatch names both widths
+    wide = ul.init_model(ul.ArchitectureSpec("linear", 5, 3), seed=1)
+    cfg = cfg_for("regun", toy)
+    with pytest.raises(ValueError, match="4 features, model expects 5"):
+        ul.regun(toy.base, toy.splits, toy.pool, cfg, reference=wide)
+
+
 @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
 def test_neggrad_plus_divergence_still_stops_at_the_step_check(toy):
     arch = ul.ArchitectureSpec("mlp1", 4, 3, hidden_dim=16, activation="relu")
