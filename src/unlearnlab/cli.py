@@ -166,8 +166,9 @@ def cmd_report(args) -> int:
     return 0
 
 
-_WORKERS_HELP = ("processes that run grid points in parallel, each with one "
-                "BLAS thread (reports identical to serial)")
+_WORKERS_HELP = ("processes that run each seed's model trainings, then its "
+                "grid points, in parallel, each with one BLAS thread "
+                "(reports identical to serial)")
 
 
 def _add_common(p):

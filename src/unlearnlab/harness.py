@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import ctypes
 import glob
+import hashlib
 import json
 import math
 import os
@@ -407,17 +408,35 @@ class SeedContext:
             s: forward_probs(self.retrain_model, rows(s)[0]) for s in ("retain", "test")})
 
 
-def prepare_seed(cfg: ExperimentConfig, seed: int,
-                 with_references: bool = True) -> SeedContext:
-    """Data, splits, base model, retrain oracle, and reference models.
+# The map prepare_seed sends its jobs through: the built-in map, except
+# inside a multi-worker _mapper, where it is that pool's map.
+_job_map = map
 
-    The base model trains on forget + retain; validation and held-out
-    rows stay unseen.  The retrain oracle trains from its own fresh
-    initialization on retain only.  Attack references train on
-    independent draws of the generator; for CSV data, where no generator
-    exists, each reference instead trains on a seeded half of the retain
-    set (documented fallback, still disjoint from forget and test).
-    """
+# This process's one cached (key, (pool, splits)) pair, shared by the
+# jobs of one seed.
+_data_slot = None
+
+
+def _data_key(cfg: ExperimentConfig, seed: int) -> str | None:
+    """A digest of everything _load_seed_data reads, by content: for CSV
+    sources the bytes of both files, so a rewritten file is read again.
+    None, which is never cached, when a file cannot be read; the load
+    then raises load_csv's own error."""
+    h = hashlib.sha1(repr((
+        seed, cfg.gen, cfg.csv_header, cfg.forget_fraction,
+        cfg.arch.input_dim, cfg.arch.num_classes)).encode())
+    if cfg.gen is None:
+        for path in (cfg.pool_csv, cfg.test_csv):
+            try:
+                with open(path, "rb") as fh:
+                    h.update(hashlib.sha1(fh.read()).digest())
+            except OSError:
+                return None
+    return h.hexdigest()
+
+
+def _load_seed_data(cfg: ExperimentConfig, seed: int):
+    """The seed's (pool, splits), generated or loaded and checked."""
     if cfg.gen is not None:
         pool = generate_gaussian_mixture(replace(cfg.gen, seed=derive_seed(seed, "data")))
         test = generate_gaussian_mixture(replace(cfg.gen, seed=derive_seed(seed, "test")))
@@ -429,42 +448,83 @@ def prepare_seed(cfg: ExperimentConfig, seed: int,
         raise ValueError("pool feature width does not match arch.input_dim")
     if pool.num_classes != cfg.arch.num_classes:
         raise ValueError("pool classes do not match arch.num_classes")
-
-    splits = make_splits(pool, test, cfg.forget_fraction, derive_seed(seed, "split"))
-    trained_rows = np.sort(np.concatenate([splits.forget, splits.retain]))
-
-    base_model = train(
-        init_model(cfg.arch, derive_seed(seed, "init")),
-        pool, trained_rows, replace(cfg.base, seed=derive_seed(seed, "base")),
-    )
-    retrain_model = train(
-        init_model(cfg.arch, derive_seed(seed, "retrain_init")),
-        pool, splits.retain, replace(cfg.base, seed=derive_seed(seed, "retrain")),
-    )
-    # the references' training sets are freed before the context
-    # computes the frozen predictions
-    references = _train_references(cfg, seed, pool, splits) if with_references else ()
-    return SeedContext(seed, pool, splits, base_model, retrain_model, references)
+    return pool, make_splits(pool, test, cfg.forget_fraction, derive_seed(seed, "split"))
 
 
-def _train_references(cfg: ExperimentConfig, seed: int, pool: Dataset,
-                      splits: DataSplits) -> tuple:
-    references = []
-    for i in range(cfg.rmia_refs):
-        ref_init = init_model(cfg.arch, derive_seed(seed, "ref_init", i))
-        ref_train_cfg = replace(cfg.base, seed=derive_seed(seed, "ref_train", i))
-        if cfg.gen is not None:
-            ref_data = generate_gaussian_mixture(
-                replace(cfg.gen, seed=derive_seed(seed, "ref_data", i))
-            )
-            ref_rows = np.arange(ref_data.num_samples)
-        else:
-            ref_data = pool
-            half = max(1, splits.retain.size // 2)
-            ref_rng = np.random.default_rng(derive_seed(seed, "ref_data", i))
-            ref_rows = np.sort(ref_rng.choice(splits.retain, size=half, replace=False))
-        references.append(train(ref_init, ref_data, ref_rows, ref_train_cfg))
-    return tuple(references)
+def _seed_data(cfg: ExperimentConfig, seed: int):
+    """The seed's (pool, splits), from this process's one-slot cache
+    when the last call had the same inputs.  The old data is dropped
+    before new data is loaded, and data that fails its checks is not
+    cached."""
+    global _data_slot
+    key = _data_key(cfg, seed)
+    if key is None:
+        return _load_seed_data(cfg, seed)
+    if _data_slot is None or _data_slot[0] != key:
+        _data_slot = None
+        _data_slot = (key, _load_seed_data(cfg, seed))
+    return _data_slot[1]
+
+
+def _train_frozen(cfg: ExperimentConfig, seed: int, job: int) -> Model:
+    """One frozen model of the seed: job 0 the base model, job 1 the
+    retrain oracle, job 2 + i attack reference i."""
+    pool, splits = _seed_data(cfg, seed)
+    if job == 0:
+        init, stream, i = "init", "base", 0
+        data, rows = pool, np.sort(np.concatenate([splits.forget, splits.retain]))
+    elif job == 1:
+        init, stream, i = "retrain_init", "retrain", 0
+        data, rows = pool, splits.retain
+    else:
+        init, stream, i = "ref_init", "ref_train", job - 2
+        data, rows = _reference_rows(cfg, seed, pool, splits, i)
+    return train(init_model(cfg.arch, derive_seed(seed, init, i)), data, rows,
+                 replace(cfg.base, seed=derive_seed(seed, stream, i)))
+
+
+def _reference_rows(cfg: ExperimentConfig, seed: int, pool: Dataset,
+                    splits: DataSplits, i: int):
+    """(dataset, rows) reference i trains on: a fresh generator draw, or
+    for CSV data a seeded half of the retain set."""
+    if cfg.gen is not None:
+        ref_data = generate_gaussian_mixture(
+            replace(cfg.gen, seed=derive_seed(seed, "ref_data", i)))
+        return ref_data, np.arange(ref_data.num_samples)
+    half = max(1, splits.retain.size // 2)
+    ref_rng = np.random.default_rng(derive_seed(seed, "ref_data", i))
+    return pool, np.sort(ref_rng.choice(splits.retain, size=half, replace=False))
+
+
+def _seed_context(cfg: ExperimentConfig, seed: int, models: tuple) -> SeedContext:
+    """The seed's SeedContext around its trained frozen models."""
+    pool, splits = _seed_data(cfg, seed)
+    return SeedContext(seed, pool, splits, models[0], models[1], models[2:])
+
+
+def prepare_seed(cfg: ExperimentConfig, seed: int,
+                 with_references: bool = True) -> SeedContext:
+    """Data, splits, base model, retrain oracle, and reference models.
+
+    The base model trains on forget + retain; validation and held-out
+    rows stay unseen.  The retrain oracle trains from its own fresh
+    initialization on retain only.  Attack references train on
+    independent draws of the generator; for CSV data, where no generator
+    exists, each reference instead trains on a seeded half of the retain
+    set (documented fallback, still disjoint from forget and test).
+
+    The work runs as jobs through the map of the enclosing run (see
+    ``_mapper``): one training per frozen model, in the order base,
+    retrain, references, then the context build.  Under a process pool
+    the trainings spread over the workers and the caller computes
+    nothing.  Every job derives the seed's data from ``(cfg, seed)``
+    itself; a process caches it for the seed's next job.  A failing
+    job raises its own error, the first in job order.
+    """
+    jobs = range(2 + (cfg.rmia_refs if with_references else 0))
+    models = tuple(_job_map(partial(_train_frozen, cfg, seed), jobs))
+    [ctx] = _job_map(partial(_seed_context, cfg, seed), [models])
+    return ctx
 
 
 def evaluate_model(name: str, model: Model, ctx: SeedContext,
@@ -566,7 +626,8 @@ def score_base_and_retrain(ctx: SeedContext) -> tuple:
 
 
 def _prepare_unit(cfg: ExperimentConfig, seed: int):
-    """The seed's SeedContext, or its SeedFailure at stage "prepare"."""
+    """The seed's SeedContext, or its SeedFailure at stage "prepare".
+    Runs in the caller; prepare_seed hands its jobs to the run's map."""
     try:
         return prepare_seed(cfg, seed)
     except Exception as exc:  # seed isolation barrier
@@ -614,14 +675,19 @@ def _openblas_threads():
     return None
 
 
-def _pin_blas() -> None:
-    """Pool initializer: one OpenBLAS thread per worker.
+def _init_worker() -> None:
+    """Pool initializer: one OpenBLAS thread per worker, and the built-in
+    map for prepare_seed's jobs.
 
     A forked worker inherits the parent's BLAS thread count, so N workers
     would spin N times that many threads on the cores.  The environment
     variable is read only when numpy loads, which under fork has already
-    happened, so the count is set through the library itself.
+    happened, so the count is set through the library itself.  Workers
+    fork at the first submit, when the parent's job map is already the
+    pool's own map, which a worker cannot use.
     """
+    global _job_map
+    _job_map = map
     threads = _openblas_threads()
     if threads is not None:
         _, set_threads = threads
@@ -632,14 +698,20 @@ def _pin_blas() -> None:
 def _mapper(workers: int):
     """The built-in ``map`` for one worker, else the ``map`` of one
     process pool whose workers pin BLAS to one thread; results come back
-    in input order either way."""
+    in input order either way.  While a pool is open, prepare_seed sends
+    its jobs to it too."""
+    global _job_map
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if workers == 1:
         yield map
     else:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas) as pool:
-            yield pool.map
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker) as pool:
+            outer, _job_map = _job_map, pool.map
+            try:
+                yield pool.map
+            finally:
+                _job_map = outer
 
 
 def _combo_key(config: UnlearnConfig) -> tuple:
@@ -718,17 +790,20 @@ def aggregate_rows(rows) -> tuple:
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunResult:
     """The full pipeline over all seeds.
 
-    Work runs in units: first one ``prepare_seed`` per seed, then one
-    per scoring job of each prepared seed, the base/retrain pair or one
-    grid point of one method.  ``workers`` > 1 runs the units on one
-    process pool whose workers pin BLAS to a single thread; results are
-    reduced in seed, then grid order, so parallel and serial runs
-    produce identical reports.  A seed whose preparation or any unit
-    fails is recorded with its first failure in that order and skipped;
-    the rest of the run proceeds.
+    Work runs in units: first one ``prepare_seed`` per seed, in seed
+    order, then one per scoring job of each prepared seed, the
+    base/retrain pair or one grid point of one method.  ``workers`` > 1
+    runs the work on one process pool whose workers pin BLAS to a single
+    thread: each seed's frozen-model trainings and its context build go
+    to the pool as separate jobs, so even a one-seed run keeps the
+    workers busy while it prepares, and the scoring units follow.
+    Results are reduced in seed, then grid order, so parallel and serial
+    runs produce identical reports.  A seed whose preparation or any
+    unit fails is recorded with its first failure in that order and
+    skipped; the rest of the run proceeds.
     """
     with _mapper(workers) as pmap:
-        prepared = list(pmap(partial(_prepare_unit, cfg), sorted(cfg.seeds)))
+        prepared = [_prepare_unit(cfg, seed) for seed in sorted(cfg.seeds)]
         ready = [p for p in prepared if isinstance(p, SeedContext)]
         plans = [[None] + [u for m in sorted(cfg.methods)
                            for u in method_grid_configs(cfg, m, ctx.seed)]

@@ -276,11 +276,21 @@ class LossSpec:
             if self.soft_target is None:
                 raise ValueError(f"{self.kind} needs a soft_target")
             t = np.asarray(self.soft_target, dtype=np.float64)
-            if t.ndim != 1 or np.any(t < 0.0):
+            if t.ndim != 1:
                 raise ValueError("soft_target must be a 1-d distribution")
-            if abs(float(t.sum()) - 1.0) > 1e-8:
-                raise ValueError("soft_target must sum to 1")
+            _check_soft_targets(t[np.newaxis])
             object.__setattr__(self, "soft_target", t)
+
+
+def _check_soft_targets(rows: np.ndarray) -> None:
+    """Raise LossSpec's ValueError for the first row of the 2-d array
+    ``rows`` that is no distribution: one with a negative entry, or a
+    sum more than 1e-8 away from 1."""
+    negative = np.any(rows < 0.0, axis=1)
+    bad = np.flatnonzero(negative | (np.abs(rows.sum(axis=1) - 1.0) > 1e-8))
+    if bad.size:
+        raise ValueError("soft_target must be a 1-d distribution" if negative[bad[0]]
+                         else "soft_target must sum to 1")
 
 
 HARD_LABEL_KINDS = ("ce_hard", "neg_ce_hard")
@@ -296,18 +306,20 @@ def _check_labels(y, num_classes: int, n: int) -> np.ndarray:
     return y
 
 
-def _grad(model: Model, x: np.ndarray, y0, spec: LossSpec):
+def _grad(model: Model, x: np.ndarray, y0, spec: LossSpec, target=None):
     """The gradient core: log-probabilities and exact d loss / d theta.
 
     Only the soft target's length is checked here, as it can change
     every step.  ``x`` must be a float64 (batch, input_dim) array and
     ``y0`` the zero-based int64 labels of the batch for the hard-label
     kinds (ignored otherwise); see ``loss_and_grad`` for the checks
-    every caller must have made.  With p the softmax and t the per-row
-    target (one-hot label or the soft target), the logit gradient is
-    (p - t) / batch, negated for neg_ce_hard, and is back-propagated
-    through the layers.  The L1 subgradient l1_weight * sign(theta) is
-    added last.
+    every caller must have made.  ``target``, when given, stands in for
+    the spec's soft target: a float64 distribution the caller checked
+    (a step plan checks all its rows once).  With p the softmax and t
+    the per-row target (one-hot label or the soft target), the logit
+    gradient is (p - t) / batch, negated for neg_ce_hard, and is
+    back-propagated through the layers.  The L1 subgradient
+    l1_weight * sign(theta) is added last.
     """
     n, k = x.shape[0], model.arch.num_classes
     logits, z1, a1 = _forward_cached(model, x)
@@ -318,7 +330,7 @@ def _grad(model: Model, x: np.ndarray, y0, spec: LossSpec):
     if spec.kind in HARD_LABEL_KINDS:
         dz[np.arange(n), y0] -= 1.0
     else:
-        q = spec.soft_target
+        q = spec.soft_target if target is None else target
         if q.shape[0] != k:
             raise ValueError("soft_target length must equal num_classes")
         dz -= q

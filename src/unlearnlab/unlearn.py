@@ -30,6 +30,7 @@ from .models import (
     LossSpec,
     Model,
     TrainConfig,
+    _check_soft_targets,
     _grad,
     _loop_rows,
     init_opt_state,
@@ -223,7 +224,8 @@ def _build_plan(data, splits, cfg, forget_loss, reference) -> _StepPlan:
     with the frozen ``reference``.
 
     Sampling errors, CoverageError among them, rise here, before any
-    step is taken, with their usual types and messages.
+    step is taken, with their usual types and messages; so does
+    LossSpec's error for the first target row that is no distribution.
     """
     rng = np.random.default_rng(cfg.seed)
     forget = np.asarray(splits.forget, dtype=np.int64)
@@ -246,6 +248,8 @@ def _build_plan(data, splits, cfg, forget_loss, reference) -> _StepPlan:
                 targets[t] = build_refdist(data.labels[batch_f], data, splits.held_out,
                                            reference, ref_cfg, rng=rng)
             t += 1
+    if targets is not None:
+        _check_soft_targets(targets)
     for table in (order, retain_rows, targets):
         if table is not None:
             table.setflags(write=False)
@@ -271,18 +275,19 @@ def _paired_updates(model, splits, data, cfg, forget_loss, reference):
     if cfg.epochs == 0:
         return model
     ce = LossSpec("ce_hard")
-    fixed = None if forget_loss == "kl_to_target" else LossSpec(forget_loss)
     retain = np.asarray(splits.retain, dtype=np.int64)
     x, y0 = _loop_rows(model, data, ce, forget, retain)
     plan = _step_plan(data, splits, cfg, forget_loss, reference)
+    targets = plan.targets
+    # one spec for every step; a planned target row replaces its soft
+    # target, checked when the plan was built
+    spec_f = LossSpec(forget_loss, soft_target=None if targets is None else targets[0])
     forget_batches = (shuffled[start : start + cfg.batch_size] for shuffled in plan.order
                       for start in range(0, shuffled.size, cfg.batch_size))
     for t, batch_f in enumerate(forget_batches):
         batch_r = plan.retain[t]
-        spec_f = fixed
-        if spec_f is None:
-            spec_f = LossSpec("kl_to_target", soft_target=plan.targets[t])
-        _, g_f = _grad(model, x[batch_f], y0[batch_f], spec_f)
+        _, g_f = _grad(model, x[batch_f], y0[batch_f], spec_f,
+                       None if targets is None else targets[t])
         _, g_r = _grad(model, x[batch_r], y0[batch_r], ce)
         combined = (1.0 - cfg.w) * g_f + cfg.w * g_r
         model, opt = sgd_step(model, combined, opt)

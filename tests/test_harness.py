@@ -1,7 +1,9 @@
 """Harness: seeds, config serialization, selection, runs, reports."""
 
+import importlib
 import json
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -682,3 +684,120 @@ def test_read_metrics_csv_names_the_line_of_an_out_of_range_value_once(tmp_path)
     with pytest.raises(ValueError) as info:
         ul.read_metrics_csv(path)
     assert str(info.value) == f"{path} line 3: forget_acc=120.0 outside [0, 100]"
+
+
+# ------------------------------------------------- seed preparation as jobs
+
+
+def _job_map_here(_):
+    return harness._job_map is map
+
+
+def test_pool_workers_send_their_jobs_to_the_builtin_map():
+    assert harness._job_map is map
+    with harness._mapper(2) as pmap:
+        assert harness._job_map is not map
+        assert list(pmap(_job_map_here, range(4))) == [True] * 4
+    assert harness._job_map is map
+
+
+def test_pooled_preparation_matches_prepare_seed_bit_for_bit(tiny_cfg):
+    pooled = ul.run_experiment(tiny_cfg, workers=2).contexts
+    for seed in tiny_cfg.seeds:
+        got, want = pooled[seed], ul.prepare_seed(tiny_cfg, seed)
+        pairs = [(got.base_model, want.base_model),
+                 (got.retrain_model, want.retrain_model),
+                 *zip(got.references, want.references, strict=True)]
+        for a, b in pairs:
+            assert np.array_equal(a.theta, b.theta)
+        for mine, theirs in ((got.oracle_probs, want.oracle_probs),
+                             (got.ref_means, want.ref_means)):
+            assert mine.keys() == theirs.keys()
+            for split in mine:
+                assert np.array_equal(mine[split], theirs[split])
+
+
+def test_a_pooled_run_computes_nothing_in_the_parent(tiny_cfg, monkeypatch):
+    # workers fork after the patch, but each counts into its own copy
+    models = importlib.import_module("unlearnlab.models")
+    real, parent, calls = models._forward_cached, os.getpid(), []
+
+    def counted(model, x):
+        if os.getpid() == parent:
+            calls.append(x.shape[0])
+        return real(model, x)
+
+    monkeypatch.setattr(models, "_forward_cached", counted)
+    ul.run_experiment(tiny_cfg, workers=2)
+    assert calls == []
+    ul.run_experiment(replace(tiny_cfg, seeds=(0,)))
+    assert calls
+
+
+def test_preparation_failures_match_across_the_pool(tiny_cfg, monkeypatch, tmp_path):
+    # every reference of the second seed fails; the seed's failure is
+    # the first in job order whichever job the pool finishes first
+    # (patched before the pool forks, so workers see it)
+    real = harness.train
+    doomed = {ul.derive_seed(tiny_cfg.seeds[1], "ref_train", i): i
+              for i in range(tiny_cfg.rmia_refs)}
+
+    def flaky(model, data, indices, cfg, loss=None):
+        if cfg.seed in doomed:
+            raise RuntimeError(f"synthetic reference {doomed[cfg.seed]}")
+        return real(model, data, indices, cfg, loss)
+
+    monkeypatch.setattr(harness, "train", flaky)
+    serial = ul.run_experiment(tiny_cfg)
+    parallel = ul.run_experiment(tiny_cfg, workers=2)
+    assert serial.failures == parallel.failures == (harness.SeedFailure(
+        tiny_cfg.seeds[1], "prepare", "RuntimeError: synthetic reference 0"),)
+    assert {r.seed for r in parallel.rows} == {tiny_cfg.seeds[0]}
+    assert len(parallel.rows) == 2 + len(tiny_cfg.methods)
+    ul.write_report(serial, tmp_path / "serial")
+    ul.write_report(parallel, tmp_path / "parallel")
+    for name in ("metrics.csv", "aggregated.csv", "manifest.json"):
+        assert ((tmp_path / "serial" / name).read_bytes()
+                == (tmp_path / "parallel" / name).read_bytes())
+
+
+def _csv_config(tiny_cfg, tmp_path, pool_seed=5):
+    for name, seed in (("pool", pool_seed), ("test", 6)):
+        data = ul.generate_gaussian_mixture(replace(tiny_cfg.gen, seed=seed))
+        ul.write_csv(data, tmp_path / f"{name}.csv")
+    return replace(tiny_cfg, gen=None, pool_csv=str(tmp_path / "pool.csv"),
+                   test_csv=str(tmp_path / "test.csv"))
+
+
+def _count_load_csv(monkeypatch):
+    real, paths = harness.load_csv, []
+
+    def counted(path, *args, **kwargs):
+        paths.append(path)
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "load_csv", counted)
+    monkeypatch.setattr(harness, "_data_slot", None)
+    return paths
+
+
+def test_a_serial_csv_run_parses_each_file_once_per_seed(tiny_cfg, tmp_path, monkeypatch):
+    cfg = _csv_config(tiny_cfg, tmp_path)
+    paths = _count_load_csv(monkeypatch)
+    result = ul.run_experiment(cfg)
+    assert result.failures == ()
+    assert paths == [cfg.pool_csv, cfg.test_csv] * len(cfg.seeds)
+
+
+def test_a_rewritten_csv_is_read_again(tiny_cfg, tmp_path, monkeypatch):
+    cfg = _csv_config(tiny_cfg, tmp_path)
+    paths = _count_load_csv(monkeypatch)
+    first = ul.prepare_seed(cfg, 0, with_references=False)
+    ul.prepare_seed(cfg, 0, with_references=False)
+    assert len(paths) == 2
+    _csv_config(tiny_cfg, tmp_path, pool_seed=7)
+    again = ul.prepare_seed(cfg, 0, with_references=False)
+    assert len(paths) == 4
+    want = ul.generate_gaussian_mixture(replace(tiny_cfg.gen, seed=7))
+    assert np.array_equal(again.pool.labels, want.labels)
+    assert not np.array_equal(again.base_model.theta, first.base_model.theta)

@@ -253,6 +253,19 @@ def test_loss_rejects_bad_inputs():
         ul.LossSpec("ce_hard", l1_weight=-1.0)
 
 
+@pytest.mark.parametrize("target, match", [
+    ([[0.5, 0.5]], "must be a 1-d distribution"),
+    ([-0.5, 1.5], "must be a 1-d distribution"),
+    ([-0.5, 0.5], "must be a 1-d distribution"),
+    ([0.2, 0.2], "must sum to 1"),
+    ([], "must sum to 1"),
+])
+def test_soft_target_checks(target, match):
+    for kind in ("ce_soft", "kl_to_target"):
+        with pytest.raises(ValueError, match=match):
+            ul.LossSpec(kind, soft_target=target)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("build, match", [
     (lambda v: ul.TrainConfig(epochs=1, batch_size=1, lr=v), "lr must be finite"),

@@ -1,5 +1,6 @@
 """Unlearning methods: degeneracies, per-step replication, directional checks."""
 
+import importlib
 import math
 
 import numpy as np
@@ -341,3 +342,34 @@ def test_w_methods_are_the_records_listing_w():
         m for m in ul.METHODS if "w" in METHOD_TABLE[m].axes)
     assert ul.harness.W_METHODS == ("regun", "neggrad_plus")
     assert tuple(METHOD_TABLE) == ul.METHODS
+
+
+@pytest.mark.parametrize("spoil, match", [
+    (lambda q: q * 2.0, "soft_target must sum to 1"),
+    (lambda q: q + np.arange(q.size) - np.arange(q.size).mean(),
+     "soft_target must be a 1-d distribution"),
+])
+def test_regun_checks_its_planned_targets_before_the_first_step(
+        toy, monkeypatch, spoil, match):
+    # the third planned target is no distribution: the plan is refused
+    # with LossSpec's message before any step, and nothing is cached
+    unlearn_module = importlib.import_module("unlearnlab.unlearn")
+    real, drawn, steps = unlearn_module.build_refdist, [], []
+
+    def spoilt(*args, **kwargs):
+        q = real(*args, **kwargs)
+        drawn.append(q)
+        return spoil(q) if len(drawn) == 3 else q
+
+    def counted(*args):
+        steps.append(1)
+        return ul.sgd_step(*args)
+
+    monkeypatch.setattr(unlearn_module, "build_refdist", spoilt)
+    monkeypatch.setattr(unlearn_module, "sgd_step", counted)
+    monkeypatch.setattr(unlearn_module, "_plan_slot", None)
+    cfg = cfg_for("regun", toy, epochs=2, batch_size=4, num_matched=8)
+    with pytest.raises(ValueError, match=match):
+        ul.regun(toy.base, toy.splits, toy.pool, cfg)
+    assert len(drawn) > 3 and steps == []
+    assert unlearn_module._plan_slot is None
