@@ -42,14 +42,14 @@ from .unlearn import METHODS, unlearn
 
 
 def _config_from_args(args):
+    """The config file (or the defaults) with the command line's
+    overrides applied; ``--seed`` replaces the configured seeds."""
     cfg = load_config(args.config) if args.config else default_config()
     if args.forget_fraction is not None:
         cfg = replace(cfg, forget_fraction=args.forget_fraction)
+    if args.seed is not None:
+        cfg = replace(cfg, seeds=(args.seed,))
     return cfg
-
-
-def _one_seed(cfg, args) -> int:
-    return cfg.seeds[0] if args.seed is None else args.seed
 
 
 def _acc_line(name, report) -> str:
@@ -61,7 +61,7 @@ def _acc_line(name, report) -> str:
 
 def cmd_train(args) -> int:
     cfg = _config_from_args(args)
-    seed = _one_seed(cfg, args)
+    seed = cfg.seeds[0]
     ctx = prepare_seed(cfg, seed, with_references=False)
     os.makedirs(args.out, exist_ok=True)
     for name, model in (("base", ctx.base_model), ("retrain", ctx.retrain_model)):
@@ -73,7 +73,7 @@ def cmd_train(args) -> int:
 
 def cmd_unlearn(args) -> int:
     cfg = _config_from_args(args)
-    seed = _one_seed(cfg, args)
+    seed = cfg.seeds[0]
     cfg = _restrict_methods(cfg, args.method)
     ucfg = method_grid_configs(cfg, args.method, seed)[0]
     ctx = prepare_seed(cfg, seed, with_references=False)
@@ -87,7 +87,7 @@ def cmd_unlearn(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _config_from_args(args)
-    seed = _one_seed(cfg, args)
+    seed = cfg.seeds[0]
     # every checkpoint is read before the seed is trained, so a bad one
     # fails at once
     models = [(os.path.splitext(os.path.basename(path))[0], load_checkpoint(path))
@@ -117,8 +117,6 @@ def _restrict_methods(cfg, method):
 def _run_from_args(args):
     """Run the experiment for run/sweep; failed seeds go to stderr."""
     cfg = _config_from_args(args)
-    if args.seed is not None:
-        cfg = replace(cfg, seeds=(args.seed,))
     cfg = _restrict_methods(cfg, args.method)
     result = run_experiment(cfg, workers=args.workers)
     for f in result.failures:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import ctypes
 import glob
-import hashlib
 import json
 import math
 import os
@@ -62,7 +61,7 @@ from .models import (
     train,
 )
 from .textio import parse_cell, read_rows, write_rows
-from .unlearn import METHOD_TABLE, METHODS, UnlearnConfig, unlearn
+from .unlearn import METHOD_TABLE, METHODS, UnlearnConfig, _drop_plan, unlearn
 
 REPORT_FORMAT = "unlearnlab-run v1"
 
@@ -352,11 +351,13 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON config: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON config: {exc}") from None
     return config_from_dict(doc)
 
 
@@ -408,33 +409,6 @@ class SeedContext:
             s: forward_probs(self.retrain_model, rows(s)[0]) for s in ("retain", "test")})
 
 
-# The map prepare_seed sends its jobs through: the built-in map, except
-# inside a multi-worker _mapper, where it is that pool's map.
-_job_map = map
-
-# This process's one cached (key, (pool, splits)) pair, shared by the
-# jobs of one seed.
-_data_slot = None
-
-
-def _data_key(cfg: ExperimentConfig, seed: int) -> str | None:
-    """A digest of everything _load_seed_data reads, by content: for CSV
-    sources the bytes of both files, so a rewritten file is read again.
-    None, which is never cached, when a file cannot be read; the load
-    then raises load_csv's own error."""
-    h = hashlib.sha1(repr((
-        seed, cfg.gen, cfg.csv_header, cfg.forget_fraction,
-        cfg.arch.input_dim, cfg.arch.num_classes)).encode())
-    if cfg.gen is None:
-        for path in (cfg.pool_csv, cfg.test_csv):
-            try:
-                with open(path, "rb") as fh:
-                    h.update(hashlib.sha1(fh.read()).digest())
-            except OSError:
-                return None
-    return h.hexdigest()
-
-
 def _load_seed_data(cfg: ExperimentConfig, seed: int):
     """The seed's (pool, splits), generated or loaded and checked."""
     if cfg.gen is not None:
@@ -451,25 +425,10 @@ def _load_seed_data(cfg: ExperimentConfig, seed: int):
     return pool, make_splits(pool, test, cfg.forget_fraction, derive_seed(seed, "split"))
 
 
-def _seed_data(cfg: ExperimentConfig, seed: int):
-    """The seed's (pool, splits), from this process's one-slot cache
-    when the last call had the same inputs.  The old data is dropped
-    before new data is loaded, and data that fails its checks is not
-    cached."""
-    global _data_slot
-    key = _data_key(cfg, seed)
-    if key is None:
-        return _load_seed_data(cfg, seed)
-    if _data_slot is None or _data_slot[0] != key:
-        _data_slot = None
-        _data_slot = (key, _load_seed_data(cfg, seed))
-    return _data_slot[1]
-
-
-def _train_frozen(cfg: ExperimentConfig, seed: int, job: int) -> Model:
+def _train_frozen(cfg: ExperimentConfig, seed: int, pool: Dataset,
+                  splits: DataSplits, job: int) -> Model:
     """One frozen model of the seed: job 0 the base model, job 1 the
     retrain oracle, job 2 + i attack reference i."""
-    pool, splits = _seed_data(cfg, seed)
     if job == 0:
         init, stream, i = "init", "base", 0
         data, rows = pool, np.sort(np.concatenate([splits.forget, splits.retain]))
@@ -496,14 +455,8 @@ def _reference_rows(cfg: ExperimentConfig, seed: int, pool: Dataset,
     return pool, np.sort(ref_rng.choice(splits.retain, size=half, replace=False))
 
 
-def _seed_context(cfg: ExperimentConfig, seed: int, models: tuple) -> SeedContext:
-    """The seed's SeedContext around its trained frozen models."""
-    pool, splits = _seed_data(cfg, seed)
-    return SeedContext(seed, pool, splits, models[0], models[1], models[2:])
-
-
-def prepare_seed(cfg: ExperimentConfig, seed: int,
-                 with_references: bool = True) -> SeedContext:
+def prepare_seed(cfg: ExperimentConfig, seed: int, with_references: bool = True,
+                 pmap=map) -> SeedContext:
     """Data, splits, base model, retrain oracle, and reference models.
 
     The base model trains on forget + retain; validation and held-out
@@ -513,17 +466,18 @@ def prepare_seed(cfg: ExperimentConfig, seed: int,
     exists, each reference instead trains on a seeded half of the retain
     set (documented fallback, still disjoint from forget and test).
 
-    The work runs as jobs through the map of the enclosing run (see
-    ``_mapper``): one training per frozen model, in the order base,
-    retrain, references, then the context build.  Under a process pool
-    the trainings spread over the workers and the caller computes
-    nothing.  Every job derives the seed's data from ``(cfg, seed)``
-    itself; a process caches it for the seed's next job.  A failing
-    job raises its own error, the first in job order.
+    The work runs as jobs through ``pmap`` (the built-in map, or a
+    pool's from ``_mapper``): the seed's data is loaded once, then
+    passed to one training per frozen model, in the order base,
+    retrain, references, and to the context build.  Under a process
+    pool every job runs in a worker, the data load included, so the
+    caller computes nothing, which keeps its peak memory down.  A
+    failing job raises its own error, the first in job order.
     """
+    [(pool, splits)] = pmap(_load_seed_data, [cfg], [seed])
     jobs = range(2 + (cfg.rmia_refs if with_references else 0))
-    models = tuple(_job_map(partial(_train_frozen, cfg, seed), jobs))
-    [ctx] = _job_map(partial(_seed_context, cfg, seed), [models])
+    base, retrain, *refs = pmap(partial(_train_frozen, cfg, seed, pool, splits), jobs)
+    [ctx] = pmap(partial(SeedContext, seed, pool, splits, base, retrain), [tuple(refs)])
     return ctx
 
 
@@ -625,11 +579,11 @@ def score_base_and_retrain(ctx: SeedContext) -> tuple:
     return base, retrain
 
 
-def _prepare_unit(cfg: ExperimentConfig, seed: int):
+def _prepare_unit(cfg: ExperimentConfig, seed: int, pmap):
     """The seed's SeedContext, or its SeedFailure at stage "prepare".
-    Runs in the caller; prepare_seed hands its jobs to the run's map."""
+    Runs in the caller; prepare_seed hands its jobs to ``pmap``."""
     try:
-        return prepare_seed(cfg, seed)
+        return prepare_seed(cfg, seed, pmap=pmap)
     except Exception as exc:  # seed isolation barrier
         return SeedFailure(seed, "prepare", f"{type(exc).__name__}: {exc}")
 
@@ -676,18 +630,13 @@ def _openblas_threads():
 
 
 def _init_worker() -> None:
-    """Pool initializer: one OpenBLAS thread per worker, and the built-in
-    map for prepare_seed's jobs.
+    """Pool initializer: one OpenBLAS thread per worker.
 
     A forked worker inherits the parent's BLAS thread count, so N workers
     would spin N times that many threads on the cores.  The environment
     variable is read only when numpy loads, which under fork has already
-    happened, so the count is set through the library itself.  Workers
-    fork at the first submit, when the parent's job map is already the
-    pool's own map, which a worker cannot use.
+    happened, so the count is set through the library itself.
     """
-    global _job_map
-    _job_map = map
     threads = _openblas_threads()
     if threads is not None:
         _, set_threads = threads
@@ -698,20 +647,18 @@ def _init_worker() -> None:
 def _mapper(workers: int):
     """The built-in ``map`` for one worker, else the ``map`` of one
     process pool whose workers pin BLAS to one thread; results come back
-    in input order either way.  While a pool is open, prepare_seed sends
-    its jobs to it too."""
-    global _job_map
+    in input order either way.  On exit this process's cached step plan
+    is dropped, so nothing of the run stays referenced."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if workers == 1:
-        yield map
-    else:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker) as pool:
-            outer, _job_map = _job_map, pool.map
-            try:
+    try:
+        if workers == 1:
+            yield map
+        else:
+            with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker) as pool:
                 yield pool.map
-            finally:
-                _job_map = outer
+    finally:
+        _drop_plan()
 
 
 def _combo_key(config: UnlearnConfig) -> tuple:
@@ -794,16 +741,17 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunResult:
     order, then one per scoring job of each prepared seed, the
     base/retrain pair or one grid point of one method.  ``workers`` > 1
     runs the work on one process pool whose workers pin BLAS to a single
-    thread: each seed's frozen-model trainings and its context build go
-    to the pool as separate jobs, so even a one-seed run keeps the
-    workers busy while it prepares, and the scoring units follow.
-    Results are reduced in seed, then grid order, so parallel and serial
-    runs produce identical reports.  A seed whose preparation or any
-    unit fails is recorded with its first failure in that order and
-    skipped; the rest of the run proceeds.
+    thread: ``prepare_seed`` sends each seed's data load, its
+    frozen-model trainings and its context build to the pool as
+    separate jobs, so even a one-seed run keeps the workers busy while
+    it prepares, and the scoring units follow.  Results are reduced in
+    seed, then grid order, so parallel and serial runs produce identical
+    reports.  A seed whose preparation or any unit fails is recorded
+    with its first failure in that order and skipped; the rest of the
+    run proceeds.  No step plan stays cached after the run returns.
     """
     with _mapper(workers) as pmap:
-        prepared = [_prepare_unit(cfg, seed) for seed in sorted(cfg.seeds)]
+        prepared = [_prepare_unit(cfg, seed, pmap) for seed in sorted(cfg.seeds)]
         ready = [p for p in prepared if isinstance(p, SeedContext)]
         plans = [[None] + [u for m in sorted(cfg.methods)
                            for u in method_grid_configs(cfg, m, ctx.seed)]

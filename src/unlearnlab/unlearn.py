@@ -217,6 +217,12 @@ def _step_plan(data, splits, cfg, forget_loss, reference) -> _StepPlan:
     return _plan_slot[1]
 
 
+def _drop_plan() -> None:
+    """Drop this process's cached plan, once a run is over."""
+    global _plan_slot
+    _plan_slot = None
+
+
 def _build_plan(data, splits, cfg, forget_loss, reference) -> _StepPlan:
     """Consume ``default_rng(cfg.seed)`` as the paired loop always has:
     the epoch shuffle of the forget rows, then per step the retain

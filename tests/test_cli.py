@@ -292,3 +292,27 @@ def test_evaluate_names_a_checkpoint_that_is_not_utf8(cfg_path, tiny_cfg,
                str(ckpt)])
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"error: {ckpt}: not UTF-8 text: ")
+
+
+def test_a_config_that_is_not_utf8_names_its_file(tmp_path, capsys):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b'{"seeds": [0], "x\xff": 1}')
+    rc = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not UTF-8 text: ")
+    assert "0xff" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["train"], ["unlearn", "--method", "finetune"], ["evaluate", "absent.ckpt"]])
+def test_a_negative_seed_flag_is_refused_by_the_config(cfg_path, tmp_path, capsys,
+                                                      command):
+    # evaluate names a checkpoint that does not exist: reading it first
+    # would fail with the missing file instead
+    rc = main([*command, "--config", cfg_path, "--seed", "-1",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: seeds must be >= 0\n"
+    assert not (tmp_path / "out").exists()

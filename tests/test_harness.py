@@ -357,10 +357,10 @@ def test_run_contexts_keyed_by_seed(tiny_cfg, tiny_run):
 def test_run_isolates_a_failing_seed(tiny_cfg, monkeypatch):
     real = harness.prepare_seed
 
-    def flaky(cfg, seed, with_references=True):
+    def flaky(cfg, seed, with_references=True, pmap=map):
         if seed == tiny_cfg.seeds[1]:
             raise RuntimeError("synthetic failure")
-        return real(cfg, seed, with_references)
+        return real(cfg, seed, with_references, pmap)
 
     monkeypatch.setattr(harness, "prepare_seed", flaky)
     result = ul.run_experiment(tiny_cfg)
@@ -689,16 +689,13 @@ def test_read_metrics_csv_names_the_line_of_an_out_of_range_value_once(tmp_path)
 # ------------------------------------------------- seed preparation as jobs
 
 
-def _job_map_here(_):
-    return harness._job_map is map
-
-
-def test_pool_workers_send_their_jobs_to_the_builtin_map():
-    assert harness._job_map is map
-    with harness._mapper(2) as pmap:
-        assert harness._job_map is not map
-        assert list(pmap(_job_map_here, range(4))) == [True] * 4
-    assert harness._job_map is map
+def test_no_step_plan_outlives_a_run(tiny_cfg, tiny_run):
+    # regun is a paired method, so both calls build and cache a plan
+    unlearn_module = importlib.import_module("unlearnlab.unlearn")
+    ul.run_experiment(tiny_cfg)
+    assert unlearn_module._plan_slot is None
+    ul.sweep_tradeoff(tiny_cfg, "regun", (0.5,), result=tiny_run)
+    assert unlearn_module._plan_slot is None
 
 
 def test_pooled_preparation_matches_prepare_seed_bit_for_bit(tiny_cfg):
@@ -777,7 +774,6 @@ def _count_load_csv(monkeypatch):
         return real(path, *args, **kwargs)
 
     monkeypatch.setattr(harness, "load_csv", counted)
-    monkeypatch.setattr(harness, "_data_slot", None)
     return paths
 
 
@@ -793,11 +789,12 @@ def test_a_rewritten_csv_is_read_again(tiny_cfg, tmp_path, monkeypatch):
     cfg = _csv_config(tiny_cfg, tmp_path)
     paths = _count_load_csv(monkeypatch)
     first = ul.prepare_seed(cfg, 0, with_references=False)
-    ul.prepare_seed(cfg, 0, with_references=False)
     assert len(paths) == 2
+    ul.prepare_seed(cfg, 0, with_references=False)
+    assert len(paths) == 4
     _csv_config(tiny_cfg, tmp_path, pool_seed=7)
     again = ul.prepare_seed(cfg, 0, with_references=False)
-    assert len(paths) == 4
+    assert len(paths) == 6
     want = ul.generate_gaussian_mixture(replace(tiny_cfg.gen, seed=7))
     assert np.array_equal(again.pool.labels, want.labels)
     assert not np.array_equal(again.base_model.theta, first.base_model.theta)

@@ -6,16 +6,20 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-import unlearnlab  # noqa: F401  (imports every submodule the targets name)
+import unlearnlab  # imports every submodule the targets name
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
-def tracer_targets():
+def load_spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    return [(module, name) for module, name, _ in spans.TARGETS]
+    return spans
+
+
+def tracer_targets():
+    return [(module, name) for module, name, _ in load_spans().TARGETS]
 
 
 def test_every_tracer_target_is_a_function_of_its_module():
@@ -32,3 +36,13 @@ def test_unlearn_module_holds_the_traced_gradient():
     unlearn_module = importlib.import_module("unlearnlab.unlearn")
     models = importlib.import_module("unlearnlab.models")
     assert unlearn_module.loss_and_grad is models.loss_and_grad
+
+
+def test_a_traced_run_counts_one_preparation_per_seed(tiny_cfg):
+    # the probe perfbench's selfcheck makes, on a serial tiny run
+    spans = load_spans()
+    with spans.tracing() as tracer:
+        unlearnlab.run_experiment(tiny_cfg)
+    assert tracer.spans["harness.prepare_seed"].calls == len(tiny_cfg.seeds)
+    assert tracer.spans["reference.build_refdist"].calls > 0
+    assert spans.leftover_wrappers() == []
