@@ -15,6 +15,7 @@ import ctypes
 import glob
 import json
 import math
+import numbers
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -102,6 +103,14 @@ def derive_seed(seed: int, stream: str, index: int = 0) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, dtype=np.uint64)[0])
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int: a bool or a non-integer (1.5, but also 2.0)
+    raises ValueError naming ``name`` instead of being truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name}: expected an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class MethodGrid:
     """Hyperparameter grid for one method.
@@ -121,9 +130,11 @@ class MethodGrid:
     num_matched: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "lrs", tuple(float(v) for v in self.lrs))
-        object.__setattr__(self, "ws", tuple(float(v) for v in self.ws))
-        object.__setattr__(self, "gammas", tuple(float(v) for v in self.gammas))
+        for name in ("lrs", "ws", "gammas"):
+            values = getattr(self, name)
+            if any(isinstance(v, bool) for v in values):
+                raise ValueError(f"grid {name}: expected numbers, got {values!r}")
+            object.__setattr__(self, name, tuple(float(v) for v in values))
         if not self.lrs or not self.ws or not self.gammas:
             raise ValueError("grid axes must be non-empty")
         if not all(math.isfinite(lr) and lr > 0 for lr in self.lrs):
@@ -135,9 +146,10 @@ class MethodGrid:
         for name in ("batch_size", "retain_batch_size", "num_matched"):
             v = getattr(self, name)
             if v is not None:
-                object.__setattr__(self, name, int(v))
-                if int(v) < 1:
+                v = _integer(v, f"grid {name}")
+                if v < 1:
                     raise ValueError(f"grid {name} must be >= 1")
+                object.__setattr__(self, name, v)
 
 
 _DEFAULT_GRID = MethodGrid()
@@ -168,7 +180,7 @@ class ExperimentConfig:
     rmia_refs: int = 4
 
     def __post_init__(self):
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        object.__setattr__(self, "seeds", tuple(_integer(s, "seeds") for s in self.seeds))
         if (self.gen is None) == (self.pool_csv is None):
             raise ValueError("configure exactly one of gen or pool_csv")
         if self.pool_csv is not None and self.test_csv is None:
@@ -345,6 +357,9 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         kwargs["gen"] = GenSpec(**shape, **_read(GenSpec, data, defaults.gen, "data."))
     elif source == "csv":
         kwargs.update(_read(ExperimentConfig, data, defaults, "data.", _CSV_KEYS))
+        for key in ("pool", "test"):
+            if kwargs[_CSV_KEYS[key]] is None:
+                raise ValueError(f"config key data.{key}: the csv source needs a file path")
     else:
         raise ValueError(f"unknown data source {source!r}")
     return ExperimentConfig(**kwargs)
@@ -379,13 +394,12 @@ def _split_rows(pool: Dataset, splits: DataSplits, split: str):
 class SeedContext:
     """Everything one seed's evaluations share.
 
-    The frozen models' predictions that ``evaluate_model`` reads are
-    computed once, when the context is built, and travel with it (a
-    pickled context carries them; unpickling recomputes nothing):
-    ``oracle_probs`` holds the retrain oracle's probability rows on the
-    retain and test splits, for the JS divergences; ``ref_means`` holds
-    the references' mean true-label probability on the forget and test
-    splits, for the RMIA score, or is None without references.
+    ``oracle_probs`` and ``ref_means`` are the frozen models' predictions
+    that ``evaluate_model`` reads, computed once per seed by the jobs that
+    train those models (see ``prepare_seed``): the retrain oracle's
+    probability rows on the retain and test splits, for the JS
+    divergences, and the references' mean true-label probability on the
+    forget and test splits, for the RMIA score (None without references).
     """
 
     seed: int
@@ -394,19 +408,8 @@ class SeedContext:
     base_model: Model
     retrain_model: Model
     references: tuple
-    oracle_probs: dict = field(init=False, repr=False)
-    ref_means: dict | None = field(init=False, repr=False)
-
-    def __post_init__(self):
-        # Each split's rows are selected where they are used and dropped
-        # after; with the references before the oracle, building a context
-        # peaked lowest in memory among the orders measured.
-        rows = partial(_split_rows, self.pool, self.splits)
-        object.__setattr__(self, "ref_means", {
-            s: _reference_mean(self.references, *rows(s)) for s in _ATTACK_SPLITS
-        } if self.references else None)
-        object.__setattr__(self, "oracle_probs", {
-            s: forward_probs(self.retrain_model, rows(s)[0]) for s in ("retain", "test")})
+    oracle_probs: dict = field(repr=False)
+    ref_means: dict | None = field(repr=False)
 
 
 def _load_seed_data(cfg: ExperimentConfig, seed: int):
@@ -426,20 +429,28 @@ def _load_seed_data(cfg: ExperimentConfig, seed: int):
 
 
 def _train_frozen(cfg: ExperimentConfig, seed: int, pool: Dataset,
-                  splits: DataSplits, job: int) -> Model:
-    """One frozen model of the seed: job 0 the base model, job 1 the
-    retrain oracle, job 2 + i attack reference i."""
+                  splits: DataSplits, job: int):
+    """(model, predictions) for one frozen model of the seed: job 0 the
+    base model (None), job 1 the retrain oracle (probability rows on
+    retain and test), job 2 + i attack reference i (true-label
+    probabilities on forget and test)."""
     if job == 0:
-        init, stream, i = "init", "base", 0
+        init, stream, i, kept = "init", "base", 0, ()
         data, rows = pool, np.sort(np.concatenate([splits.forget, splits.retain]))
     elif job == 1:
-        init, stream, i = "retrain_init", "retrain", 0
+        init, stream, i, kept = "retrain_init", "retrain", 0, ("retain", "test")
         data, rows = pool, splits.retain
     else:
-        init, stream, i = "ref_init", "ref_train", job - 2
+        init, stream, i, kept = "ref_init", "ref_train", job - 2, _ATTACK_SPLITS
         data, rows = _reference_rows(cfg, seed, pool, splits, i)
-    return train(init_model(cfg.arch, derive_seed(seed, init, i)), data, rows,
-                 replace(cfg.base, seed=derive_seed(seed, stream, i)))
+    model = train(init_model(cfg.arch, derive_seed(seed, init, i)), data, rows,
+                  replace(cfg.base, seed=derive_seed(seed, stream, i)))
+    predictions = {}
+    for split in kept:
+        x, y = _split_rows(pool, splits, split)
+        probs = forward_probs(model, x)
+        predictions[split] = probs if job == 1 else _true_label(probs, y)
+    return model, predictions or None
 
 
 def _reference_rows(cfg: ExperimentConfig, seed: int, pool: Dataset,
@@ -466,19 +477,20 @@ def prepare_seed(cfg: ExperimentConfig, seed: int, with_references: bool = True,
     exists, each reference instead trains on a seeded half of the retain
     set (documented fallback, still disjoint from forget and test).
 
-    The work runs as jobs through ``pmap`` (the built-in map, or a
-    pool's from ``_mapper``): the seed's data is loaded once, then
-    passed to one training per frozen model, in the order base,
-    retrain, references, and to the context build.  Under a process
-    pool every job runs in a worker, the data load included, so the
-    caller computes nothing, which keeps its peak memory down.  A
+    The work runs as two rounds of jobs through ``pmap`` (the built-in
+    map, or a pool's from ``_mapper``): the seed's data is loaded once,
+    then each frozen model is trained and forwarded by its own job
+    (``_train_frozen``), in the order base, retrain, references.  The
+    caller only averages the references' vectors, so under a process
+    pool it forwards nothing, which keeps its peak memory down.  A
     failing job raises its own error, the first in job order.
     """
     [(pool, splits)] = pmap(_load_seed_data, [cfg], [seed])
     jobs = range(2 + (cfg.rmia_refs if with_references else 0))
-    base, retrain, *refs = pmap(partial(_train_frozen, cfg, seed, pool, splits), jobs)
-    [ctx] = pmap(partial(SeedContext, seed, pool, splits, base, retrain), [tuple(refs)])
-    return ctx
+    models, preds = zip(*pmap(partial(_train_frozen, cfg, seed, pool, splits), jobs))
+    ref_means = {s: _reference_mean([p[s] for p in preds[2:]])
+                 for s in _ATTACK_SPLITS} if preds[2:] else None
+    return SeedContext(seed, pool, splits, *models[:2], models[2:], preds[1], ref_means)
 
 
 def evaluate_model(name: str, model: Model, ctx: SeedContext,

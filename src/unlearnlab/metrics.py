@@ -77,15 +77,16 @@ def rmia_lite_scores(target: Model, references, data: Dataset,
     if not refs:
         raise ValueError("need at least one reference model")
     x, y = _select(data, indices)
-    return _rmia(_true_label(forward_probs(target, x), y), _reference_mean(refs, x, y))
+    p_refs = [_true_label(forward_probs(ref, x), y) for ref in refs]
+    return _rmia(_true_label(forward_probs(target, x), y), _reference_mean(p_refs))
 
 
-def _reference_mean(refs, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Mean true-label probability over the references, summed in order."""
-    ref_mean = np.zeros(y.shape[0])
-    for ref in refs:
-        ref_mean += _true_label(forward_probs(ref, x), y)
-    ref_mean /= len(refs)
+def _reference_mean(p_refs) -> np.ndarray:
+    """Mean of the references' true-label probabilities, summed in order."""
+    ref_mean = np.zeros(p_refs[0].shape[0])
+    for p_ref in p_refs:
+        ref_mean += p_ref
+    ref_mean /= len(p_refs)
     return ref_mean
 
 

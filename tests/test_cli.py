@@ -131,6 +131,15 @@ def test_an_unswept_axis_in_the_config_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: config key methods.finetune.ws:")
 
 
+def test_a_csv_config_without_its_test_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "csv.json"
+    path.write_text(json.dumps({"data": {"source": "csv", "pool": "p.csv"}}))
+    rc = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: config key data.test:")
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_is_a_clean_error(tmp_path, capsys):
     rc = main(["run", "--config", str(tmp_path / "absent.json"),
                "--out", str(tmp_path)])

@@ -90,12 +90,12 @@ def test_only_the_evaluated_model_is_forwarded_once_per_split(ctx, models,
     assert all(m is models[name] for m in forwarded)
 
 
-def test_building_a_context_forwards_the_oracle_and_each_reference(ctx, forwarded):
-    ul.harness.SeedContext(ctx.seed, ctx.pool, ctx.splits, ctx.base_model,
-                           ctx.retrain_model, ctx.references)
-    # the oracle on retain and test, every reference on forget and test
+def test_building_a_context_forwards_the_oracle_and_each_reference(tiny_cfg, forwarded):
+    built = ul.prepare_seed(tiny_cfg, 0)
+    # the oracle on retain and test, every reference on forget and test,
+    # the base model never
     assert Counter(map(id, forwarded)) == Counter(
-        [id(ctx.retrain_model)] * 2 + [id(ref) for ref in ctx.references] * 2)
+        [id(built.retrain_model)] * 2 + [id(ref) for ref in built.references] * 2)
 
 
 @pytest.mark.parametrize("arch", [

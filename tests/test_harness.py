@@ -136,6 +136,47 @@ def test_method_grid_rejects_non_finite_values(axis, bad, match):
         MethodGrid(**{axis: (0.5, bad)})
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"batch_size": 1.5}, "grid batch_size: expected an integer, got 1.5"),
+    ({"num_matched": 2.9}, "grid num_matched: expected an integer, got 2.9"),
+    ({"retain_batch_size": True}, "grid retain_batch_size: expected an integer"),
+    ({"batch_size": 2.0}, "grid batch_size: expected an integer"),
+    ({"lrs": (0.1, True)}, "grid lrs: expected numbers"),
+    ({"ws": (False,)}, "grid ws: expected numbers"),
+    ({"gammas": (True,)}, "grid gammas: expected numbers"),
+])
+def test_method_grid_refuses_to_truncate_or_coerce_a_knob(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        MethodGrid(**kwargs)
+
+
+@pytest.mark.parametrize("seeds", [(1.7, 2.2), (0, True), (3.0,)])
+def test_experiment_config_refuses_to_truncate_a_seed(seeds):
+    with pytest.raises(ValueError, match="seeds: expected an integer"):
+        replace(ul.default_config(), seeds=seeds)
+
+
+def test_numpy_integers_are_stored_as_python_ints():
+    grid = MethodGrid(batch_size=np.int64(4), num_matched=np.int32(2))
+    cfg = replace(ul.default_config(), seeds=(np.int64(3),),
+                  methods={"regun": grid})
+    assert type(grid.batch_size) is int and type(grid.num_matched) is int
+    assert type(cfg.seeds[0]) is int
+    # the manifest's config block stays valid JSON
+    json.dumps(ul.config_to_dict(cfg))
+
+
+@pytest.mark.parametrize("data, key", [
+    ({"source": "csv", "test": "t.csv"}, "data.pool"),
+    ({"source": "csv", "pool": "p.csv"}, "data.test"),
+    ({"source": "csv", "pool": None, "test": "t.csv"}, "data.pool"),
+    ({"source": "csv"}, "data.pool"),
+])
+def test_a_csv_config_names_the_missing_file_key(data, key):
+    with pytest.raises(ValueError, match=f"config key {key}: the csv source needs"):
+        ul.config_from_dict({"data": data})
+
+
 @pytest.mark.parametrize("method, key, value", [
     ("finetune", "ws", [0.1, 0.9]),
     ("neggrad", "ws", [0.3]),
@@ -712,6 +753,22 @@ def test_pooled_preparation_matches_prepare_seed_bit_for_bit(tiny_cfg):
             assert mine.keys() == theirs.keys()
             for split in mine:
                 assert np.array_equal(mine[split], theirs[split])
+
+
+@pytest.mark.parametrize("with_references", [True, False])
+def test_prepare_seed_maps_the_data_job_then_one_job_per_frozen_model(
+        tiny_cfg, with_references):
+    rounds = []
+
+    def recording(fn, *iterables):
+        jobs = list(zip(*iterables))
+        rounds.append(len(jobs))
+        return [fn(*job) for job in jobs]
+
+    ctx = ul.prepare_seed(tiny_cfg, 0, with_references, pmap=recording)
+    refs = tiny_cfg.rmia_refs if with_references else 0
+    assert rounds == [1, 2 + refs]
+    assert len(ctx.references) == refs
 
 
 def test_a_pooled_run_computes_nothing_in_the_parent(tiny_cfg, monkeypatch):
