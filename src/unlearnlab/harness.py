@@ -192,6 +192,8 @@ class ExperimentConfig:
                 raise ValueError("gen and arch disagree on input_dim")
         if not (0.0 < self.forget_fraction < 1.0):
             raise ValueError("forget_fraction must lie strictly in (0, 1)")
+        for name in ("unlearn_epochs", "rmia_refs"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.unlearn_epochs < 0:
             raise ValueError("unlearn_epochs must be >= 0")
         if not self.seeds:
@@ -500,7 +502,9 @@ def evaluate_model(name: str, model: Model, ctx: SeedContext,
     The model is forwarded once per split (retain, forget, test,
     validation); the oracle's and the references' predictions come from
     the context.  A model whose input_dim or num_classes differs from the
-    seed's data raises ValueError, as does a context without references.
+    seed's data raises ValueError, as does a context without references
+    or a split on which the model's logits are not all finite (a diverged
+    model, say): its message names the model, the split and the row count.
     Gap columns are left at zero; callers fill them against the oracle
     row (for the oracle itself they are correct as is).
     """
@@ -517,6 +521,10 @@ def evaluate_model(name: str, model: Model, ctx: SeedContext,
     for split in _EVAL_SPLITS:
         x, y = _split_rows(pool, ctx.splits, split)
         logits = forward_logits(model, x)
+        bad = np.count_nonzero(~np.isfinite(logits).all(axis=1))
+        if bad:
+            raise ValueError(f"model {name!r} gives non-finite logits on {bad} of "
+                             f"{y.size} {split} rows")
         probs = _softmax(logits)
         acc[split] = _accuracy(probs, y)
         if split in ctx.oracle_probs:
@@ -753,14 +761,14 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunResult:
     order, then one per scoring job of each prepared seed, the
     base/retrain pair or one grid point of one method.  ``workers`` > 1
     runs the work on one process pool whose workers pin BLAS to a single
-    thread: ``prepare_seed`` sends each seed's data load, its
-    frozen-model trainings and its context build to the pool as
-    separate jobs, so even a one-seed run keeps the workers busy while
-    it prepares, and the scoring units follow.  Results are reduced in
-    seed, then grid order, so parallel and serial runs produce identical
-    reports.  A seed whose preparation or any unit fails is recorded
-    with its first failure in that order and skipped; the rest of the
-    run proceeds.  No step plan stays cached after the run returns.
+    thread: ``prepare_seed`` sends each seed's data load and its
+    frozen-model trainings to the pool as separate jobs, so even a
+    one-seed run keeps the workers busy while it prepares, and the
+    scoring units follow.  Results are reduced in seed, then grid
+    order, so parallel and serial runs produce identical reports.  A
+    seed whose preparation or any unit fails is recorded with its first
+    failure in that order and skipped; the rest of the run proceeds.
+    No step plan stays cached after the run returns.
     """
     with _mapper(workers) as pmap:
         prepared = [_prepare_unit(cfg, seed, pmap) for seed in sorted(cfg.seeds)]

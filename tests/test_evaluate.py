@@ -5,6 +5,7 @@ import sys
 from collections import Counter
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 import unlearnlab as ul
@@ -112,3 +113,36 @@ def test_a_model_of_another_shape_is_rejected_before_any_forward(ctx, arch,
     assert (f"input_dim {arch.input_dim} and num_classes {arch.num_classes}" in msg
             and "input_dim 4 and num_classes 3" in msg)
     assert forwarded == []
+
+
+def overflowing(model):
+    """``model`` with hidden unit 0 at exactly sign(first feature) and
+    output weight and bias 1e308 from it to class 1, so class 1's logit
+    overflows to inf on every row whose first feature is positive and
+    is 0 on the others."""
+    broken = model.with_theta(model.theta.copy())
+    (w1, b1), (w2, b2) = ul.models.unpack_params(broken)
+    w1[...], b1[...], w2[...], b2[...] = 0.0, 0.0, 0.0, 0.0
+    w1[0, 0], w2[0, 0], b2[0] = 1e6, 1e308, 1e308
+    return broken
+
+
+def test_non_finite_logits_name_the_model_split_and_row_count(ctx):
+    broken = overflowing(ctx.base_model)
+    retain = ctx.splits.retain
+    bad = int(np.count_nonzero(ctx.pool.features[retain, 0] > 0.0))
+    assert 0 < bad < retain.size
+    with np.errstate(over="ignore"), pytest.raises(ValueError) as err:
+        ul.evaluate_model("broken", broken, ctx)
+    assert str(err.value) == (f"model 'broken' gives non-finite logits on {bad} of "
+                              f"{retain.size} retain rows")
+
+
+def test_a_diverged_grid_point_fails_at_its_evaluate_stage(tiny_cfg, ctx, monkeypatch):
+    monkeypatch.setattr(harness, "unlearn", lambda base, *_: overflowing(base))
+    ucfg = harness.method_grid_configs(tiny_cfg, "finetune", ctx.seed)[0]
+    with np.errstate(over="ignore"):
+        failure = harness._score_unit(ctx, ucfg)
+    assert failure.stage == "evaluate:finetune"
+    assert failure.error.startswith(
+        "ValueError: model 'finetune' gives non-finite logits on ")

@@ -156,6 +156,22 @@ def test_experiment_config_refuses_to_truncate_a_seed(seeds):
         replace(ul.default_config(), seeds=seeds)
 
 
+@pytest.mark.parametrize("name", ["rmia_refs", "unlearn_epochs"])
+@pytest.mark.parametrize("bad", [1.5, True, 2.0])
+def test_experiment_config_refuses_a_non_integer_count(name, bad):
+    with pytest.raises(ValueError, match=f"{name}: expected an integer, got {bad!r}"):
+        replace(ul.default_config(), **{name: bad})
+
+
+def test_integer_counts_keep_their_bytes_in_the_config_block():
+    cfg = ul.default_config()
+    again = replace(cfg, rmia_refs=np.int64(cfg.rmia_refs),
+                    unlearn_epochs=np.int32(cfg.unlearn_epochs))
+    assert type(again.rmia_refs) is int and type(again.unlearn_epochs) is int
+    assert (json.dumps(ul.config_to_dict(again))
+            == json.dumps(ul.config_to_dict(cfg)))
+
+
 def test_numpy_integers_are_stored_as_python_ints():
     grid = MethodGrid(batch_size=np.int64(4), num_matched=np.int32(2))
     cfg = replace(ul.default_config(), seeds=(np.int64(3),),

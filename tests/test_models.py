@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import unlearnlab as ul
-from unlearnlab.models import _log_softmax, forward_log_probs
+from unlearnlab import models
+from unlearnlab.models import _forward_cached, _log_softmax, forward_log_probs
 
 
 def random_model(rng, kind="linear", d=3, k=3, h=5, activation="tanh"):
@@ -102,6 +104,55 @@ def test_softmax_stable_for_huge_logits():
     probs = ul.forward_probs(model, np.array([[1.0]]))
     assert np.all(np.isfinite(probs)) and np.all(probs >= 0)
     assert abs(probs.sum() - 1.0) < 1e-9
+
+
+def default_shape_model(kind, seed=0):
+    """The default experiment's 32-256-10 shape (or 32-10 linear)."""
+    if kind == "linear":
+        arch = ul.ArchitectureSpec("linear", 32, 10)
+    else:
+        arch = ul.ArchitectureSpec("mlp1", 32, 10, hidden_dim=256, activation=kind)
+    return ul.init_model(arch, seed=seed)
+
+
+@pytest.mark.parametrize("kind", ["tanh", "relu", "linear"])
+@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049, 6000])
+def test_blocked_logits_equal_one_call_bytewise_on_default_shapes(kind, n):
+    model = default_shape_model(kind)
+    x = np.random.default_rng(n).normal(size=(n, 32))
+    one_call, _, _ = _forward_cached(model, x)
+    assert ul.forward_logits(model, x).tobytes() == one_call.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 1024, 1025, 2048, 2049, 6000])
+def test_forward_blocks_are_balanced_and_at_most_1024_rows(n, monkeypatch):
+    real, rows = models._forward_cached, []
+
+    def recording(model, x):
+        rows.append(x.shape[0])
+        return real(model, x)
+
+    monkeypatch.setattr(models, "_forward_cached", recording)
+    ul.forward_logits(default_shape_model("tanh"), np.zeros((n, 32)))
+    assert sum(rows) == n and len(rows) == -(-n // 1024)
+    # balanced: sizes differ by at most one, so a block of more than
+    # 1,024 rows is never cut below 512
+    assert max(rows) - min(rows) <= 1 and max(rows) <= 1024
+
+
+def test_forward_memory_does_not_grow_with_the_batch():
+    model = default_shape_model("tanh")
+    x = np.random.default_rng(0).normal(size=(6000, 32))
+    peaks = []
+    for forward in (lambda: _forward_cached(model, x), lambda: ul.forward_probs(model, x)):
+        tracemalloc.start()
+        try:
+            forward()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    one_call, blocked = peaks
+    assert blocked < one_call / 4
 
 
 def test_forward_rejects_wrong_width():

@@ -1,6 +1,6 @@
 """Property tests: the attack AUC, histogram matching, pool splits,
-bit-exact round trips of every row file, exact gradients and the step
-plans of the paired unlearning methods."""
+bit-exact round trips of every row file, exact gradients, the blocked
+forward pass and the step plans of the paired unlearning methods."""
 
 import importlib
 import math
@@ -261,6 +261,26 @@ def test_gradients_match_finite_differences_on_random_models(
     # data term) are compared absolutely, to the differences' resolution
     rel = np.abs(grad - fd) / np.maximum(np.maximum(np.abs(grad), np.abs(fd)), 1e-5)
     assert rel.max() < 1e-6
+
+
+# ------------------------------------------------------------ blocked forward
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 64), st.integers(2, 16), st.integers(0, 300),
+       st.sampled_from(["tanh", "relu"]), st.integers(1, 3000),
+       st.integers(0, 2**32 - 1))
+def test_blocked_logits_match_one_call_on_random_models(d, k, h, activation, n, seed):
+    # h == 0 draws a linear model; a row's last bits may depend on how
+    # many rows share its BLAS call, so only the rounding may differ
+    arch = (ul.ArchitectureSpec("linear", d, k) if h == 0 else
+            ul.ArchitectureSpec("mlp1", d, k, hidden_dim=h, activation=activation))
+    rng = np.random.default_rng(seed)
+    model = ul.Model(arch, rng.normal(scale=0.7, size=arch.num_params))
+    x = rng.normal(size=(n, d))
+    one_call, _, _ = ul.models._forward_cached(model, x)
+    np.testing.assert_allclose(ul.forward_logits(model, x), one_call,
+                               rtol=1e-12, atol=1e-12)
 
 
 # -------------------------------------------------------- paired step plans
