@@ -22,6 +22,7 @@ from dataclasses import replace
 from .harness import (
     DEFAULT_SWEEP_WS,
     W_METHODS,
+    _mapper,
     aggregate_rows,
     default_config,
     evaluate_model,
@@ -62,7 +63,8 @@ def _acc_line(name, report) -> str:
 def cmd_train(args) -> int:
     cfg = _config_from_args(args)
     seed = cfg.seeds[0]
-    ctx = prepare_seed(cfg, seed, with_references=False)
+    with _mapper(1):
+        ctx = prepare_seed(cfg, seed, with_references=False)
     os.makedirs(args.out, exist_ok=True)
     for name, model in (("base", ctx.base_model), ("retrain", ctx.retrain_model)):
         path = os.path.join(args.out, f"{name}_seed{seed}.ckpt")
@@ -76,8 +78,9 @@ def cmd_unlearn(args) -> int:
     seed = cfg.seeds[0]
     cfg = _restrict_methods(cfg, args.method)
     ucfg = method_grid_configs(cfg, args.method, seed)[0]
-    ctx = prepare_seed(cfg, seed, with_references=False)
-    model = unlearn(ctx.base_model, ctx.splits, ctx.pool, ucfg)
+    with _mapper(1):
+        ctx = prepare_seed(cfg, seed, with_references=False)
+        model = unlearn(ctx.base_model, ctx.splits, ctx.pool, ucfg)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"{args.method}_seed{seed}.ckpt")
     save_checkpoint(model, path)
@@ -92,11 +95,12 @@ def cmd_evaluate(args) -> int:
     # fails at once
     models = [(os.path.splitext(os.path.basename(path))[0], load_checkpoint(path))
               for path in args.checkpoints]
-    ctx = prepare_seed(cfg, seed)
-    base, retrain = score_base_and_retrain(ctx)
-    rows = [base, retrain]
-    for name, model in models:
-        rows.append(with_gaps(evaluate_model(name, model, ctx), retrain))
+    with _mapper(1):
+        ctx = prepare_seed(cfg, seed)
+        base, retrain = score_base_and_retrain(ctx)
+        rows = [base, retrain]
+        for name, model in models:
+            rows.append(with_gaps(evaluate_model(name, model, ctx), retrain))
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "metrics.csv")
     write_metrics_csv(rows, out_path)

@@ -40,14 +40,14 @@ from .metrics import (
     REPORT_FIELDS,
     AttackScores,
     MetricsReport,
-    _accuracy,
-    _js_avg,
+    _hits,
+    _percent,
     _reference_mean,
     _rmia,
-    _select,
     _true_label,
     aggregate_seeds,
     attack_auc,
+    js_divergence,
     with_gaps,
 )
 from .models import (
@@ -55,6 +55,7 @@ from .models import (
     Model,
     TrainConfig,
     _log_softmax,
+    _row_blocks,
     _softmax,
     forward_logits,
     forward_probs,
@@ -384,12 +385,21 @@ _EVAL_SPLITS = ("retain", "forget", "test", "validation")
 _ATTACK_SPLITS = ("forget", "test")
 
 
-def _split_rows(pool: Dataset, splits: DataSplits, split: str):
-    """(features, labels) of one scored split: the test set is its own
-    dataset, the other splits index the pool."""
+def _split_blocks(pool: Dataset, splits: DataSplits, split: str):
+    """(row count, iterator of (rows, features, labels)) of one scored
+    split, one item per slice of ``_row_blocks``: the test set is its
+    own dataset, the other splits gather their pool rows per block."""
     if split == "test":
-        return _select(splits.test, None)
-    return _select(pool, getattr(splits, split))
+        data, index = splits.test, None
+    else:
+        data, index = pool, getattr(splits, split)
+    n = data.num_samples if index is None else index.size
+
+    def blocks():
+        for rows in _row_blocks(n):
+            take = rows if index is None else index[rows]
+            yield rows, data.features[take], data.labels[take]
+    return n, blocks()
 
 
 @dataclass(frozen=True, eq=False)
@@ -435,7 +445,8 @@ def _train_frozen(cfg: ExperimentConfig, seed: int, pool: Dataset,
     """(model, predictions) for one frozen model of the seed: job 0 the
     base model (None), job 1 the retrain oracle (probability rows on
     retain and test), job 2 + i attack reference i (true-label
-    probabilities on forget and test)."""
+    probabilities on forget and test).  The training draw is dropped
+    before the forwards, which fill each split's array block by block."""
     if job == 0:
         init, stream, i, kept = "init", "base", 0, ()
         data, rows = pool, np.sort(np.concatenate([splits.forget, splits.retain]))
@@ -447,11 +458,15 @@ def _train_frozen(cfg: ExperimentConfig, seed: int, pool: Dataset,
         data, rows = _reference_rows(cfg, seed, pool, splits, i)
     model = train(init_model(cfg.arch, derive_seed(seed, init, i)), data, rows,
                   replace(cfg.base, seed=derive_seed(seed, stream, i)))
+    del data, rows
     predictions = {}
     for split in kept:
-        x, y = _split_rows(pool, splits, split)
-        probs = forward_probs(model, x)
-        predictions[split] = probs if job == 1 else _true_label(probs, y)
+        n, blocks = _split_blocks(pool, splits, split)
+        shape = (n, cfg.arch.num_classes) if job == 1 else (n,)
+        kept_rows = predictions[split] = np.empty(shape)
+        for rows, x, y in blocks:
+            probs = forward_probs(model, x)
+            kept_rows[rows] = probs if job == 1 else _true_label(probs, y)
     return model, predictions or None
 
 
@@ -499,14 +514,17 @@ def evaluate_model(name: str, model: Model, ctx: SeedContext,
                    w: float | None = None) -> MetricsReport:
     """All metrics for one model against this seed's oracle and attacks.
 
-    The model is forwarded once per split (retain, forget, test,
-    validation); the oracle's and the references' predictions come from
-    the context.  A model whose input_dim or num_classes differs from the
-    seed's data raises ValueError, as does a context without references
-    or a split on which the model's logits are not all finite (a diverged
-    model, say): its message names the model, the split and the row count.
-    Gap columns are left at zero; callers fill them against the oracle
-    row (for the oracle itself they are correct as is).
+    Each split (retain, forget, test, validation) is forwarded and
+    scored in the blocks of ``models._row_blocks``, so memory is bounded
+    by a block, not the split; per-row results go into one vector per
+    split, reduced once, which keeps every metric's bits.  The oracle's
+    and the references' predictions come from the context.  A model
+    whose input_dim or num_classes differs from the seed's data raises
+    ValueError, as does a context without references or a split on which
+    the model's logits are not all finite (a diverged model, say): its
+    message names the model, the split and the count of such rows.  Gap
+    columns are left at zero; callers fill them against the oracle row
+    (for the oracle itself they are correct as is).
     """
     pool = ctx.pool
     shape = (model.arch.input_dim, model.arch.num_classes)
@@ -519,19 +537,31 @@ def evaluate_model(name: str, model: Model, ctx: SeedContext,
         raise ValueError("need at least one reference model")
     acc, div, smia, rmia = {}, {}, {}, {}
     for split in _EVAL_SPLITS:
-        x, y = _split_rows(pool, ctx.splits, split)
-        logits = forward_logits(model, x)
-        bad = np.count_nonzero(~np.isfinite(logits).all(axis=1))
+        n, blocks = _split_blocks(pool, ctx.splits, split)
+        oracle = ctx.oracle_probs.get(split)
+        hits, js, log_p, p = np.empty(n, dtype=bool), np.empty(n), np.empty(n), np.empty(n)
+        bad = 0
+        for rows, x, y in blocks:
+            logits = forward_logits(model, x)
+            bad += np.count_nonzero(~np.isfinite(logits).all(axis=1))
+            if bad:  # the split fails; only its bad rows are still counted
+                continue
+            probs = _softmax(logits)
+            hits[rows] = _hits(probs, y)
+            if oracle is not None:
+                js[rows] = js_divergence(probs, oracle[rows])
+            if split in ctx.ref_means:
+                log_p[rows] = _true_label(_log_softmax(logits), y)
+                p[rows] = _true_label(probs, y)
         if bad:
             raise ValueError(f"model {name!r} gives non-finite logits on {bad} of "
-                             f"{y.size} {split} rows")
-        probs = _softmax(logits)
-        acc[split] = _accuracy(probs, y)
-        if split in ctx.oracle_probs:
-            div[split] = _js_avg(probs, ctx.oracle_probs[split])
+                             f"{n} {split} rows")
+        acc[split] = _percent(hits)
+        if oracle is not None:
+            div[split] = _percent(js)
         if split in ctx.ref_means:
-            smia[split] = _true_label(_log_softmax(logits), y)
-            rmia[split] = _rmia(_true_label(probs, y), ctx.ref_means[split])
+            smia[split] = log_p
+            rmia[split] = _rmia(p, ctx.ref_means[split])
     return MetricsReport(
         method=name,
         seed=ctx.seed,
@@ -664,16 +694,38 @@ def _init_worker() -> None:
 
 
 @contextmanager
+def _one_blas_thread():
+    """This process's OpenBLAS on one thread for the block, its count
+    restored on exit."""
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get_threads, set_threads = threads
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
+
+
+@contextmanager
 def _mapper(workers: int):
     """The built-in ``map`` for one worker, else the ``map`` of one
-    process pool whose workers pin BLAS to one thread; results come back
-    in input order either way.  On exit this process's cached step plan
-    is dropped, so nothing of the run stays referenced."""
+    process pool; results come back in input order either way.  Every
+    process that computes runs BLAS on one thread (a serial caller for
+    the block, each pool worker for good; a pooled caller computes
+    nothing), so parallelism comes only from ``workers``, an integer
+    >= 1.  On exit this process's cached step plan is dropped, so
+    nothing of the run stays referenced."""
+    workers = _integer(workers, "workers")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     try:
         if workers == 1:
-            yield map
+            with _one_blas_thread():
+                yield map
         else:
             with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker) as pool:
                 yield pool.map
@@ -759,9 +811,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunResult:
 
     Work runs in units: first one ``prepare_seed`` per seed, in seed
     order, then one per scoring job of each prepared seed, the
-    base/retrain pair or one grid point of one method.  ``workers`` > 1
-    runs the work on one process pool whose workers pin BLAS to a single
-    thread: ``prepare_seed`` sends each seed's data load and its
+    base/retrain pair or one grid point of one method.  Every process
+    that computes runs BLAS on one thread (see ``_mapper``).  ``workers``
+    > 1 runs the work on one process pool: ``prepare_seed`` sends each seed's data load and its
     frozen-model trainings to the pool as separate jobs, so even a
     one-seed run keeps the workers busy while it prepares, and the
     scoring units follow.  Results are reduced in seed, then grid

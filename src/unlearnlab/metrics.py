@@ -6,10 +6,12 @@ models' predictions, and gap-to-retrain summaries.  Everything numeric
 is reported in percent except the raw per-sample attack scores.
 
 Each public metric forwards the models it is given and hands the
-predictions to a private array-level core (``_accuracy``,
-``_true_label``, ``_reference_mean``, ``_rmia``, ``_js_avg``).
-``harness.evaluate_model`` calls the same cores on predictions it
-computes once per split, so each formula exists once.
+predictions to private array-level cores: the per-row ``_hits``,
+``_true_label``, ``_rmia`` and ``js_divergence``, ``_reference_mean``,
+and ``_percent``, the mean that turns a per-row vector into a reported
+percentage.  ``harness.evaluate_model`` calls the same cores block by
+block and reduces each split's per-row vector once, so each formula
+exists once.
 """
 
 from __future__ import annotations
@@ -42,12 +44,17 @@ def accuracy(model: Model, data: Dataset, indices=None) -> float:
     Ties in the argmax resolve to the lowest class index.
     """
     x, y = _select(data, indices)
-    return _accuracy(forward_probs(model, x), y)
+    return _percent(_hits(forward_probs(model, x), y))
 
 
-def _accuracy(probs: np.ndarray, y: np.ndarray) -> float:
-    pred = np.argmax(probs, axis=1) + 1
-    return 100.0 * float(np.mean(pred == y))
+def _hits(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Whether each row's argmax prediction is its 1-based label."""
+    return np.argmax(probs, axis=1) + 1 == y
+
+
+def _percent(per_row: np.ndarray) -> float:
+    """100 times the mean of a per-row vector."""
+    return 100.0 * float(np.mean(per_row))
 
 
 def _true_label(values: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -165,11 +172,7 @@ def js_divergence_avg(model_a: Model, model_b: Model, data: Dataset,
     """Mean per-sample JS divergence between two models' predictive
     distributions over the given rows, times 100."""
     x, _ = _select(data, indices)
-    return _js_avg(forward_probs(model_a, x), forward_probs(model_b, x))
-
-
-def _js_avg(p: np.ndarray, q: np.ndarray) -> float:
-    return 100.0 * float(np.mean(js_divergence(p, q)))
+    return _percent(js_divergence(forward_probs(model_a, x), forward_probs(model_b, x)))
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,14 @@ of exp(z - c) over the other entries.  This is scipy's
 ``logsumexp`` algorithm in plain numpy and gives its bits exactly.
 
 Inference forwards go through ``forward_logits``, which cuts a batch of
-more than 1,024 rows into balanced contiguous blocks, so its memory is
-bounded by the block, not the split.  Both layers add their bias in
-place.  Neither changes a bit on the default shapes; for other shapes
-OpenBLAS may round a row differently depending on how many rows share
-the call, by about 1e-14.  Serial and pooled runs cut the same blocks,
-so they still agree.
+more than 1,024 rows into the balanced contiguous blocks of
+``_row_blocks``, so its memory is bounded by the block, not the split;
+the harness scores a split in the same blocks.  Both layers add their
+bias in place and the activation overwrites the pre-activation, so a
+forward holds one hidden-layer array.  None of this changes a bit on
+the default shapes; for other shapes OpenBLAS may round a row
+differently depending on how many rows share the call, by about 1e-14.
+Serial and pooled runs cut the same blocks, so they still agree.
 """
 
 from __future__ import annotations
@@ -145,17 +147,21 @@ def init_model(arch: ArchitectureSpec, seed: int) -> Model:
     return model
 
 
-def _activate(z: np.ndarray, activation: str) -> np.ndarray:
+def _activate(z: np.ndarray, activation: str) -> None:
+    """Apply the activation to ``z`` in place."""
     if activation == "tanh":
-        return np.tanh(z)
-    return np.maximum(z, 0.0)
+        np.tanh(z, out=z)
+    else:
+        np.maximum(z, 0.0, out=z)
 
 
-def _activate_grad(z: np.ndarray, a: np.ndarray, activation: str) -> np.ndarray:
+def _activate_grad(a: np.ndarray, activation: str) -> np.ndarray:
+    """d activation / d z from the activation ``a`` alone."""
     if activation == "tanh":
         return 1.0 - a * a
-    # relu subgradient at 0 is taken as 0
-    return (z > 0.0).astype(np.float64)
+    # relu subgradient at 0 is taken as 0; max(z, 0) > 0 exactly where
+    # z > 0, NaN and -0.0 included
+    return (a > 0.0).astype(np.float64)
 
 
 def _check_inputs(model: Model, x: np.ndarray) -> np.ndarray:
@@ -173,51 +179,59 @@ def _check_inputs(model: Model, x: np.ndarray) -> np.ndarray:
 
 
 def _forward_cached(model: Model, x: np.ndarray):
-    """Logits plus the intermediates needed for the backward pass.
+    """(logits, hidden activation) for the backward pass; the activation
+    is None for a linear model.
 
-    Biases are added in place: the same bits as ``x @ w.T + b`` without
-    a second (batch, width) temporary per layer.
+    Biases are added in place and the activation is written over the
+    pre-activation: the same bits as ``x @ w.T + b`` and ``tanh(z)``
+    with one (batch, width) array per layer.
     """
     layers = unpack_params(model)
     if model.arch.kind == "linear":
         w, b = layers[0]
         logits = x @ w.T
         logits += b
-        return logits, None, None
+        return logits, None
     (w1, b1), (w2, b2) = layers
-    z1 = x @ w1.T
-    z1 += b1
-    a1 = _activate(z1, model.arch.activation)
+    a1 = x @ w1.T
+    a1 += b1
+    _activate(a1, model.arch.activation)
     logits = a1 @ w2.T
     logits += b2
-    return logits, z1, a1
+    return logits, a1
 
 
 _BLOCK_ROWS = 1024
+
+
+def _row_blocks(n: int) -> list:
+    """Row slices cutting ``n`` rows into ceil(n / 1,024) contiguous
+    blocks of balanced size: one block up to ``_BLOCK_ROWS`` rows, else
+    blocks of 512 to 1,024 rows whose sizes differ by at most one."""
+    blocks = -(-n // _BLOCK_ROWS)
+    bounds = [i * n // blocks for i in range(blocks + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def forward_logits(model: Model, x: np.ndarray) -> np.ndarray:
     """Class logits, shape (batch, num_classes).
 
     A batch of more than ``_BLOCK_ROWS`` (1,024) rows is forwarded in
-    ceil(batch / 1,024) contiguous blocks of balanced size (at least 512
-    rows each) written into one preallocated array, so the hidden-layer
-    temporaries stay bounded whatever the split size.  Blocks are kept
-    large because OpenBLAS picks other kernels for small row counts:
-    on the default shapes (32 inputs, 256 hidden units, 10 classes)
-    blocked logits equal the single-call logits byte for byte, but for
-    some shapes a row's last bits depend on how many rows share the
-    call (differences near 1e-14).
+    the blocks of ``_row_blocks``, written into one preallocated array,
+    so the hidden-layer array stays bounded whatever the split size.
+    Blocks are kept large because OpenBLAS picks other kernels for small
+    row counts: on the default shapes (32 inputs, 256 hidden units, 10
+    classes) blocked logits equal the single-call logits byte for byte,
+    but for some shapes a row's last bits depend on how many rows share
+    the call (differences near 1e-14).
     """
     x = _check_inputs(model, x)
-    n = x.shape[0]
-    if n <= _BLOCK_ROWS:
+    blocks = _row_blocks(x.shape[0])
+    if len(blocks) == 1:
         return _forward_cached(model, x)[0]
-    blocks = -(-n // _BLOCK_ROWS)
-    bounds = [i * n // blocks for i in range(blocks + 1)]
-    logits = np.empty((n, model.arch.num_classes))
-    for lo, hi in zip(bounds, bounds[1:]):
-        logits[lo:hi] = _forward_cached(model, x[lo:hi])[0]
+    logits = np.empty((x.shape[0], model.arch.num_classes))
+    for rows in blocks:
+        logits[rows] = _forward_cached(model, x[rows])[0]
     return logits
 
 
@@ -360,7 +374,7 @@ def _grad(model: Model, x: np.ndarray, y0, spec: LossSpec, target=None):
     l1_weight * sign(theta) is added last.
     """
     n, k = x.shape[0], model.arch.num_classes
-    logits, z1, a1 = _forward_cached(model, x)
+    logits, a1 = _forward_cached(model, x)
     log_p = _log_softmax(logits)
     # dz starts as the probabilities; subtracting the target in place
     # gives the same bits as subtracting a dense target array
@@ -385,7 +399,7 @@ def _grad(model: Model, x: np.ndarray, y0, spec: LossSpec, target=None):
     else:
         (w1, _), (w2, _) = unpack_params(model)
         da1 = dz @ w2
-        dz1 = da1 * _activate_grad(z1, a1, arch.activation)
+        dz1 = da1 * _activate_grad(a1, arch.activation)
         o1 = h * d
         o2 = o1 + h
         o3 = o2 + k * h

@@ -2,14 +2,16 @@
 
 import pickle
 import sys
+import tracemalloc
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 import unlearnlab as ul
 from unlearnlab import harness
+from unlearnlab.models import _log_softmax, _row_blocks, _softmax
 
 
 @pytest.fixture(scope="module")
@@ -146,3 +148,70 @@ def test_a_diverged_grid_point_fails_at_its_evaluate_stage(tiny_cfg, ctx, monkey
     assert failure.stage == "evaluate:finetune"
     assert failure.error.startswith(
         "ValueError: model 'finetune' gives non-finite logits on ")
+
+
+# ------------------------------------------------------ block-wise scoring
+
+
+@pytest.fixture(scope="module")
+def wide_ctx(tiny_cfg):
+    """A tiny-architecture seed whose retain (1,215 rows) and test (1,800
+    rows) splits are each scored in two blocks."""
+    cfg = replace(tiny_cfg, gen=replace(tiny_cfg.gen, samples_per_class=600),
+                  base=replace(tiny_cfg.base, epochs=1), rmia_refs=1)
+    return ul.prepare_seed(cfg, 0)
+
+
+def test_block_wise_scoring_equals_the_public_metric_functions(wide_ctx):
+    s = wide_ctx.splits
+    assert len(_row_blocks(s.retain.size)) == len(_row_blocks(s.test.num_samples)) == 2
+    for name, model in (("base", wide_ctx.base_model), ("retrain", wide_ctx.retrain_model)):
+        got = ul.evaluate_model(name, model, wide_ctx)
+        assert asdict(got) == asdict(public_report(name, model, wide_ctx))
+
+
+def test_non_finite_rows_are_counted_over_every_block(wide_ctx):
+    broken = overflowing(wide_ctx.base_model)
+    retain = wide_ctx.splits.retain
+    positive = wide_ctx.pool.features[retain, 0] > 0.0
+    assert all(0 < np.count_nonzero(positive[rows]) < rows.stop - rows.start
+               for rows in _row_blocks(retain.size))
+    with np.errstate(over="ignore"), pytest.raises(ValueError) as err:
+        ul.evaluate_model("broken", broken, wide_ctx)
+    assert str(err.value) == (f"model 'broken' gives non-finite logits on "
+                              f"{np.count_nonzero(positive)} of {retain.size} retain rows")
+
+
+def traced_peak(fn) -> int:
+    """Bytes ``fn()`` allocates at its peak beyond what it starts with."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scoring_memory_is_bounded_by_a_block_not_the_split():
+    # a narrow model, so the split-sized temporaries, not the hidden
+    # layer, would set the whole-split peak
+    arch = ul.ArchitectureSpec("mlp1", 32, 10, hidden_dim=16)
+    pool = ul.generate_gaussian_mixture(ul.GenSpec(10, 32, 120, seed=1))
+    test = ul.generate_gaussian_mixture(ul.GenSpec(10, 32, 600, seed=2))
+    splits = ul.make_splits(pool, test, 0.1, seed=0)
+    model, oracle = ul.init_model(arch, seed=0), ul.init_model(arch, seed=1)
+    oracle_probs = {"retain": ul.forward_probs(oracle, pool.features[splits.retain]),
+                    "test": ul.forward_probs(oracle, test.features)}
+    ref_means = {"forget": np.full(splits.forget.size, 0.1),
+                 "test": np.full(test.num_samples, 0.1)}
+    ctx = harness.SeedContext(0, pool, splits, model, oracle, (oracle,),
+                              oracle_probs, ref_means)
+
+    def whole_split():
+        logits = ul.forward_logits(model, test.features)
+        probs = _softmax(logits)
+        return _log_softmax(logits), ul.js_divergence(probs, oracle_probs["test"])
+
+    whole = traced_peak(whole_split)
+    blocked = traced_peak(lambda: ul.evaluate_model("m", model, ctx))
+    assert test.num_samples == 6000 and blocked < whole / 2

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import unlearnlab as ul
-from unlearnlab import harness
+from unlearnlab import cli, harness
 from unlearnlab.harness import (
     GridResult,
     METRICS_HEADER,
@@ -469,6 +469,77 @@ def test_pool_workers_pin_blas_to_one_thread(tiny_cfg):
         assert list(pmap(_blas_threads_here, range(4))) == [1] * 4
     ul.run_experiment(tiny_cfg, workers=2)
     assert threads[0]() == before
+
+
+@pytest.fixture
+def blas_threads():
+    """The getter of numpy's OpenBLAS thread count, which is 2 for the
+    test and restored after it."""
+    threads = harness._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy bundles no OpenBLAS here")
+    get, set_ = threads
+    before = get()
+    set_(2)
+    if get() != 2:
+        set_(before)
+        pytest.skip("OpenBLAS runs on one thread at most here")
+    yield get
+    set_(before)
+
+
+def test_a_serial_run_pins_blas_to_one_thread_and_restores_it(tiny_cfg, monkeypatch,
+                                                              blas_threads):
+    get = blas_threads
+    real, seen = harness.train, []
+
+    def recording(*args, **kwargs):
+        seen.append(get())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "train", recording)
+    ul.run_experiment(replace(tiny_cfg, seeds=(0,)))
+    assert seen and set(seen) == {1}
+    assert get() == 2
+
+    def broken(*_):
+        raise RuntimeError("synthetic")
+
+    monkeypatch.setattr(harness, "method_grid_configs", broken)
+    with pytest.raises(RuntimeError, match="synthetic"):
+        ul.run_experiment(replace(tiny_cfg, seeds=(0,)))
+    assert get() == 2
+
+
+@pytest.mark.parametrize("command", ["train", "unlearn", "evaluate"])
+def test_single_seed_commands_pin_blas_to_one_thread(tiny_cfg, tmp_path, monkeypatch,
+                                                     blas_threads, command):
+    get = blas_threads
+    seen = []
+
+    def recording(*_, **__):
+        seen.append(get())
+        raise KeyError("stop")
+
+    monkeypatch.setattr(cli, "prepare_seed", recording)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(ul.config_to_dict(tiny_cfg)))
+    ckpt = tmp_path / "model.ckpt"
+    ul.save_checkpoint(ul.init_model(tiny_cfg.arch, seed=0), ckpt)
+    extra = {"train": [], "unlearn": ["--method", "finetune"], "evaluate": [str(ckpt)]}
+    with pytest.raises(KeyError, match="stop"):
+        cli.main([command, "--config", str(path), "--out", str(tmp_path / "out"),
+                  *extra[command]])
+    assert seen == [1] and get() == 2
+
+
+@pytest.mark.parametrize("workers", [1.5, 2.0, True])
+def test_non_integer_workers_are_rejected(tiny_cfg, tiny_run, workers):
+    with pytest.raises(ValueError, match="workers: expected an integer"):
+        ul.run_experiment(tiny_cfg, workers=workers)
+    with pytest.raises(ValueError, match="workers: expected an integer"):
+        ul.sweep_tradeoff(tiny_cfg, "regun", (0.5,), result=tiny_run,
+                          workers=workers)
 
 
 @pytest.mark.parametrize("workers", [0, -1])

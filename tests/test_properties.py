@@ -278,7 +278,7 @@ def test_blocked_logits_match_one_call_on_random_models(d, k, h, activation, n, 
     rng = np.random.default_rng(seed)
     model = ul.Model(arch, rng.normal(scale=0.7, size=arch.num_params))
     x = rng.normal(size=(n, d))
-    one_call, _, _ = ul.models._forward_cached(model, x)
+    one_call, _ = ul.models._forward_cached(model, x)
     np.testing.assert_allclose(ul.forward_logits(model, x), one_call,
                                rtol=1e-12, atol=1e-12)
 
