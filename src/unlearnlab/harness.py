@@ -15,14 +15,13 @@ import ctypes
 import glob
 import json
 import math
-import numbers
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from functools import partial
-from itertools import product
+from itertools import product, zip_longest
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
@@ -62,8 +61,8 @@ from .models import (
     init_model,
     train,
 )
-from .textio import parse_cell, read_rows, write_rows
-from .unlearn import METHOD_TABLE, METHODS, UnlearnConfig, _drop_plan, unlearn
+from .textio import _integer, parse_cell, read_rows, write_rows
+from .unlearn import METHOD_TABLE, METHODS, UnlearnConfig, _run_slice
 
 REPORT_FORMAT = "unlearnlab-run v1"
 
@@ -102,14 +101,6 @@ def derive_seed(seed: int, stream: str, index: int = 0) -> int:
     """Stable child seed for one purpose within one experiment seed."""
     entropy = [seed, _STREAMS[stream], index]
     return int(np.random.SeedSequence(entropy).generate_state(1, dtype=np.uint64)[0])
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as an int: a bool or a non-integer (1.5, but also 2.0)
-    raises ValueError naming ``name`` instead of being truncated."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name}: expected an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -638,27 +629,40 @@ def _prepare_unit(cfg: ExperimentConfig, seed: int, pmap):
         return SeedFailure(seed, "prepare", f"{type(exc).__name__}: {exc}")
 
 
-def _score_unit(ctx: SeedContext, ucfg: UnlearnConfig | None):
-    """One scoring job of one seed, or its SeedFailure.
+def _slices(points: list, count: int) -> list:
+    """``points`` cut into min(count, len(points)) contiguous runs, in
+    order, whose lengths differ by at most one."""
+    n, count = len(points), min(count, len(points))
+    return [points[i * n // count:(i + 1) * n // count] for i in range(count)]
 
-    ``ucfg`` None scores the base model and the retrain oracle (see
-    score_base_and_retrain); otherwise the grid point is unlearned from
-    the base model and evaluated, and its report comes back with the gap
-    columns left at zero.  The failure's stage names the step that
-    raised: "evaluate", "unlearn:<method>" or "evaluate:<method>".
+
+def _score_unit(ctx: SeedContext, ucfgs: list | None) -> list:
+    """One scoring job of one seed: its outcomes in order, the last of
+    them a SeedFailure if a point failed (later points are not run).
+
+    ``ucfgs`` None scores the base model and the retrain oracle, one
+    (base, retrain) outcome (see score_base_and_retrain); otherwise it is
+    a slice of one method's points (see _run_slice), each unlearned from
+    the base model and evaluated, its report's gap columns left at zero.
+    The failure's stage names the step that raised: "evaluate",
+    "unlearn:<method>" or "evaluate:<method>".
     """
-    stage = "evaluate"
+    stage, outcomes = "evaluate", []
     try:
-        if ucfg is None:
-            return score_base_and_retrain(ctx)
-        method = ucfg.method
-        stage = f"unlearn:{method}"
-        model = unlearn(ctx.base_model, ctx.splits, ctx.pool, ucfg)
-        stage = f"evaluate:{method}"
-        return evaluate_model(method, model, ctx,
-                              w=ucfg.w if method in W_METHODS else None)
+        if ucfgs is None:
+            return [score_base_and_retrain(ctx)]
+        models = _run_slice(ctx.base_model, ctx.splits, ctx.pool, ucfgs)
+        for ucfg in ucfgs:
+            method = ucfg.method
+            stage = f"unlearn:{method}"
+            model = next(models)
+            stage = f"evaluate:{method}"
+            outcomes.append(evaluate_model(method, model, ctx,
+                                           w=ucfg.w if method in W_METHODS else None))
+            del model  # so the next point unlearns without this one alive
+        return outcomes
     except Exception as exc:  # seed isolation barrier
-        return SeedFailure(ctx.seed, stage, f"{type(exc).__name__}: {exc}")
+        return outcomes + [SeedFailure(ctx.seed, stage, f"{type(exc).__name__}: {exc}")]
 
 
 def _openblas_threads():
@@ -717,20 +721,16 @@ def _mapper(workers: int):
     process that computes runs BLAS on one thread (a serial caller for
     the block, each pool worker for good; a pooled caller computes
     nothing), so parallelism comes only from ``workers``, an integer
-    >= 1.  On exit this process's cached step plan is dropped, so
-    nothing of the run stays referenced."""
+    >= 1."""
     workers = _integer(workers, "workers")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    try:
-        if workers == 1:
-            with _one_blas_thread():
-                yield map
-        else:
-            with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker) as pool:
-                yield pool.map
-    finally:
-        _drop_plan()
+    if workers == 1:
+        with _one_blas_thread():
+            yield map
+    else:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker) as pool:
+            yield pool.map
 
 
 def _combo_key(config: UnlearnConfig) -> tuple:
@@ -810,8 +810,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunResult:
     """The full pipeline over all seeds.
 
     Work runs in units: first one ``prepare_seed`` per seed, in seed
-    order, then one per scoring job of each prepared seed, the
-    base/retrain pair or one grid point of one method.  Every process
+    order, then the scoring units of each prepared seed: the base/retrain
+    pair, and each method's grid cut into min(workers, points) slices
+    (see _slices), each of which builds its step plan once.  Every process
     that computes runs BLAS on one thread (see ``_mapper``).  ``workers``
     > 1 runs the work on one process pool: ``prepare_seed`` sends each seed's data load and its
     frozen-model trainings to the pool as separate jobs, so even a
@@ -820,34 +821,31 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunResult:
     order, so parallel and serial runs produce identical reports.  A
     seed whose preparation or any unit fails is recorded with its first
     failure in that order and skipped; the rest of the run proceeds.
-    No step plan stays cached after the run returns.
     """
     with _mapper(workers) as pmap:
         prepared = [_prepare_unit(cfg, seed, pmap) for seed in sorted(cfg.seeds)]
         ready = [p for p in prepared if isinstance(p, SeedContext)]
-        plans = [[None] + [u for m in sorted(cfg.methods)
-                           for u in method_grid_configs(cfg, m, ctx.seed)]
-                 for ctx in ready]
-        scored = list(pmap(_score_unit,
-                           [ctx for ctx, plan in zip(ready, plans) for _ in plan],
-                           [ucfg for plan in plans for ucfg in plan]))
+        units = [(ctx, part) for ctx in ready for part in [None] + [
+            part for m in sorted(cfg.methods)
+            for part in _slices(method_grid_configs(cfg, m, ctx.seed), workers)]]
+        scored = list(pmap(_score_unit, [ctx for ctx, _ in units], [part for _, part in units]))
 
+    outcomes = {}  # seed -> [(grid point or None, outcome)] in grid order
+    for (ctx, part), result in zip(units, scored):
+        outcomes.setdefault(ctx.seed, []).extend(zip(part or [None], result))
     failures, rows, grid, contexts = [], [], [], {}
-    units, plans = iter(scored), iter(plans)
     for outcome in prepared:
         if isinstance(outcome, SeedFailure):
             failures.append(outcome)
             continue
-        plan = next(plans)
-        results = [next(units) for _ in plan]
-        failure = next((r for r in results if isinstance(r, SeedFailure)), None)
+        pairs = outcomes[outcome.seed]
+        failure = next((r for _, r in pairs if isinstance(r, SeedFailure)), None)
         if failure is not None:
             failures.append(failure)
             continue
-        (base, retrain), *reports = results
+        (_, (base, retrain)), *reports = pairs
         rows.extend([base, retrain])
-        grid.extend(GridResult(ucfg, with_gaps(report, retrain))
-                    for ucfg, report in zip(plan[1:], reports))
+        grid.extend(GridResult(ucfg, with_gaps(report, retrain)) for ucfg, report in reports)
         contexts[outcome.seed] = outcome
 
     selected = {}
@@ -892,11 +890,11 @@ def sweep_tradeoff(cfg: ExperimentConfig, method: str, w_grid,
 
     The non-w hyperparameters are the ones selection picked for the
     method (lr, gamma); pass ``result`` to reuse an existing run's
-    trained models, otherwise the experiment is run first.  Each
-    (w, seed) point is one unit of work, run on the same kind of pool
-    as ``run_experiment`` when ``workers`` > 1.  A failing point raises
-    ValueError naming its seed and stage.  Returns one SweepPoint per w
-    in grid order.
+    trained models, otherwise the experiment is run first.  Each seed's
+    ws are cut into slices as ``run_experiment`` cuts a grid, one unit of
+    work each, run on the same kind of pool when ``workers`` > 1.  The
+    first failing point in w, then seed order raises ValueError naming
+    its seed and stage.  Returns one SweepPoint per w in grid order.
     """
     if method not in W_METHODS:
         raise ValueError(f"method {method!r} has no w to sweep")
@@ -910,13 +908,15 @@ def sweep_tradeoff(cfg: ExperimentConfig, method: str, w_grid,
     retrain_rows = {r.seed: r for r in result.rows if r.method == "retrain"}
     contexts = [ctx for _, ctx in sorted(result.contexts.items())]
     ws = [float(w) for w in w_grid]
-    # units run seed by seed, so the points of a seed follow each other
-    # and share its cached step plan; columns[i] holds w_i's seeds
     with _mapper(workers) as pmap:
-        scored = list(pmap(_score_unit, [ctx for ctx in contexts for _ in ws], [
-            replace(anchor, w=w, seed=derive_seed(ctx.seed, "unlearn"))
-            for ctx in contexts for w in ws]))
-    columns = [scored[i::len(ws)] for i in range(len(ws))]
+        units = [(ctx, part) for ctx in contexts for part in _slices(
+            [replace(anchor, w=w, seed=derive_seed(ctx.seed, "unlearn")) for w in ws], workers)]
+        scored = list(pmap(_score_unit, [ctx for ctx, _ in units], [part for _, part in units]))
+    by_seed = {ctx.seed: [] for ctx in contexts}
+    for (ctx, _), outcomes in zip(units, scored):
+        by_seed[ctx.seed].extend(outcomes)
+    # columns[i] holds w_i's seeds, None where a seed's slice had stopped
+    columns = list(zip_longest(*by_seed.values()))
     for failure in (unit for column in columns for unit in column):
         if isinstance(failure, SeedFailure):
             raise ValueError(f"sweep of {method} failed on seed {failure.seed} "

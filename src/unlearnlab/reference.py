@@ -16,6 +16,7 @@ import numpy as np
 
 from .data import Dataset, class_histogram
 from .models import Model, forward_probs
+from .textio import _integer
 
 
 class CoverageError(ValueError):
@@ -35,7 +36,7 @@ class RefDistConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_matched is not None and self.num_matched < 1:
+        if self.num_matched is not None and _integer(self.num_matched, "num_matched") < 1:
             raise ValueError("num_matched must be >= 1")
 
 

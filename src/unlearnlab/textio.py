@@ -13,6 +13,7 @@ file that is not UTF-8 raises ValueError naming the file.
 from __future__ import annotations
 
 import math
+import numbers
 from types import UnionType
 from typing import get_args, get_origin
 
@@ -20,6 +21,14 @@ from typing import get_args, get_origin
 FLOAT_FMT = "%.17g"
 
 _EXPECTED = {int: "an integer", float: "a finite number"}
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int: a bool or a non-integer (1.5, but also 2.0)
+    raises ValueError naming ``name`` instead of being truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name}: expected an integer, got {value!r}")
+    return int(value)
 
 
 def _text(value) -> str:

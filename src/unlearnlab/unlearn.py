@@ -19,7 +19,6 @@ A zero epoch budget is the identity for every method.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -41,6 +40,7 @@ from .models import (
     train,
 )
 from .reference import RefDistConfig, build_refdist
+from .textio import _integer
 
 # Gradient ascent diverges quickly under a full unlearning budget, so
 # neggrad always runs exactly this many epochs (a zero budget still
@@ -105,13 +105,14 @@ class UnlearnConfig:
         if self.method not in METHODS:
             raise ValueError(f"unknown unlearning method {self.method!r}")
         self.train_config()  # checks epochs, batch_size, lr and momentum
-        if self.retain_batch_size is not None and self.retain_batch_size < 1:
+        if (self.retain_batch_size is not None
+                and _integer(self.retain_batch_size, "retain_batch_size") < 1):
             raise ValueError("retain_batch_size must be >= 1")
         if not (0.0 <= self.w <= 1.0):
             raise ValueError("w must lie in [0, 1]")
         if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
             raise ValueError("gamma must be finite and >= 0")
-        if self.num_matched is not None and self.num_matched < 1:
+        if self.num_matched is not None and _integer(self.num_matched, "num_matched") < 1:
             raise ValueError("num_matched must be >= 1")
 
     def train_config(self, epochs: int | None = None) -> TrainConfig:
@@ -125,12 +126,12 @@ class UnlearnConfig:
 
 
 def _run(name: str, model: Model, splits: DataSplits, data: Dataset,
-         cfg: UnlearnConfig, reference: Model | None = None) -> Model:
+         cfg: UnlearnConfig, reference: Model | None = None, build_plan=None) -> Model:
     """Run the method METHOD_TABLE[name] describes."""
     method = METHOD_TABLE[name]
     if method.rows == "paired":
         return _paired_updates(model, splits, data, cfg, method.forget_loss,
-                               model if reference is None else reference)
+                               model if reference is None else reference, build_plan)
     epochs = cfg.epochs
     if epochs and method.epochs is not None:
         epochs = method.epochs
@@ -174,53 +175,13 @@ class _StepPlan:
     batches in order; step t, counted over all epochs, takes the retain
     rows ``retain[t]`` and, for the "kl_to_target" forget loss, the
     reference distribution ``targets[t]`` (None otherwise).  The arrays
-    are read-only because one plan serves many runs.
+    are read-only because every point of a slice replays the same plan
+    (see _run_slice).
     """
 
     order: np.ndarray
     retain: np.ndarray
     targets: np.ndarray | None
-
-
-# The one cached (key, plan) pair of this process.
-_plan_slot = None
-
-
-def _plan_key(data, splits, cfg, forget_loss, reference) -> str:
-    """A digest of everything _build_plan reads, by content: pool
-    workers unpickle fresh copies of the same arrays for every unit."""
-    h = hashlib.sha1(repr((
-        cfg.seed, cfg.epochs, cfg.batch_size, cfg.retain_batch_size or cfg.batch_size,
-        cfg.num_matched, forget_loss, data.num_classes)).encode())
-    arrays = [splits.forget, splits.retain, splits.held_out, data.labels]
-    if forget_loss == "kl_to_target":
-        h.update(repr(reference.arch).encode())
-        held_out = np.asarray(splits.held_out, dtype=np.int64)
-        arrays += [data.features[held_out], reference.theta]
-    for a in arrays:
-        a = np.ascontiguousarray(a)
-        h.update(f"{a.dtype.str}{a.shape}".encode())
-        h.update(a)
-    return h.hexdigest()
-
-
-def _step_plan(data, splits, cfg, forget_loss, reference) -> _StepPlan:
-    """The run's plan, from this process's one-plan cache when the last
-    plan built had the same inputs.  The old plan is dropped before a new
-    one is built, so two are never held at once, and a plan that fails
-    to build (say, on a CoverageError) is not cached."""
-    global _plan_slot
-    key = _plan_key(data, splits, cfg, forget_loss, reference)
-    if _plan_slot is None or _plan_slot[0] != key:
-        _plan_slot = None
-        _plan_slot = (key, _build_plan(data, splits, cfg, forget_loss, reference))
-    return _plan_slot[1]
-
-
-def _drop_plan() -> None:
-    """Drop this process's cached plan, once a run is over."""
-    global _plan_slot
-    _plan_slot = None
 
 
 def _build_plan(data, splits, cfg, forget_loss, reference) -> _StepPlan:
@@ -262,17 +223,18 @@ def _build_plan(data, splits, cfg, forget_loss, reference) -> _StepPlan:
     return _StepPlan(order, retain_rows, targets)
 
 
-def _paired_updates(model, splits, data, cfg, forget_loss, reference):
+def _paired_updates(model, splits, data, cfg, forget_loss, reference, build_plan=None):
     """Epochs over the forget set with a fresh retain batch per step.
 
-    Every draw comes from the run's step plan (see _build_plan), which
-    depends on the seed, the loader knobs, the index sets, the pool
-    labels and, for "kl_to_target", the frozen ``reference`` model, but
-    never on lr, w, momentum or the model being edited.  So all grid
-    points of a method on one seed share one plan, cached per process.
-    The combined gradient is (1 - w) * forget + w * retain.  Features and
+    Every draw comes from the run's step plan, which depends on the seed,
+    the loader knobs, the index sets, the pool labels and, for
+    "kl_to_target", the frozen ``reference`` model, but never on lr, w,
+    momentum or the model being edited.  The plan comes from the caller's
+    ``build_plan`` (default _build_plan, called with its arguments), so a
+    slice can build it once for all its points (see _run_slice).  The
+    combined gradient is (1 - w) * forget + w * retain.  Features and
     labels of the forget and retain sets are checked once, before the
-    plan is built.
+    plan is asked for.
     """
     opt = init_opt_state(model, cfg.lr, cfg.momentum)
     forget = np.asarray(splits.forget, dtype=np.int64)
@@ -283,7 +245,7 @@ def _paired_updates(model, splits, data, cfg, forget_loss, reference):
     ce = LossSpec("ce_hard")
     retain = np.asarray(splits.retain, dtype=np.int64)
     x, y0 = _loop_rows(model, data, ce, forget, retain)
-    plan = _step_plan(data, splits, cfg, forget_loss, reference)
+    plan = (build_plan or _build_plan)(data, splits, cfg, forget_loss, reference)
     targets = plan.targets
     # one spec for every step; a planned target row replaces its soft
     # target, checked when the plan was built
@@ -298,6 +260,31 @@ def _paired_updates(model, splits, data, cfg, forget_loss, reference):
         combined = (1.0 - cfg.w) * g_f + cfg.w * g_r
         model, opt = sgd_step(model, combined, opt)
     return model
+
+
+def _run_slice(model: Model, splits: DataSplits, data: Dataset, cfgs,
+               reference: Model | None = None):
+    """Yield the model each config of ``cfgs`` unlearns from ``model``, in order.
+
+    The configs are one method's points on one seed and may differ only
+    in lr, w, momentum and gamma, which no step plan reads.  So a paired
+    method builds its plan once, at the first point that takes a step,
+    and every later point replays it; the plan lives as long as the
+    generator.
+    """
+    if len({(c.method, c.seed, c.epochs, c.batch_size, c.retain_batch_size,
+             c.num_matched) for c in cfgs}) > 1:
+        raise ValueError("a slice's configs may differ only in lr, w, momentum and gamma")
+    plan = None
+
+    def build_plan(*args):
+        nonlocal plan
+        if plan is None:
+            plan = _build_plan(*args)
+        return plan
+
+    for cfg in cfgs:
+        yield _run(cfg.method, model, splits, data, cfg, reference, build_plan)
 
 
 def neggrad_plus(model: Model, splits: DataSplits, data: Dataset,

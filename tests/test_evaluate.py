@@ -141,10 +141,11 @@ def test_non_finite_logits_name_the_model_split_and_row_count(ctx):
 
 
 def test_a_diverged_grid_point_fails_at_its_evaluate_stage(tiny_cfg, ctx, monkeypatch):
-    monkeypatch.setattr(harness, "unlearn", lambda base, *_: overflowing(base))
+    unlearn_module = sys.modules["unlearnlab.unlearn"]
+    monkeypatch.setattr(unlearn_module, "_run", lambda _, base, *__: overflowing(base))
     ucfg = harness.method_grid_configs(tiny_cfg, "finetune", ctx.seed)[0]
     with np.errstate(over="ignore"):
-        failure = harness._score_unit(ctx, ucfg)
+        [failure] = harness._score_unit(ctx, [ucfg])
     assert failure.stage == "evaluate:finetune"
     assert failure.error.startswith(
         "ValueError: model 'finetune' gives non-finite logits on ")

@@ -163,6 +163,21 @@ def test_experiment_config_refuses_a_non_integer_count(name, bad):
         replace(ul.default_config(), **{name: bad})
 
 
+@pytest.mark.parametrize("build, field", [
+    (lambda: ul.TrainConfig(epochs=2.5, batch_size=4, lr=0.1), "epochs"),
+    (lambda: ul.TrainConfig(epochs=2, batch_size=True, lr=0.1), "batch_size"),
+    (lambda: ul.ArchitectureSpec("mlp1", 4, 3, hidden_dim=8.5), "hidden_dim"),
+    (lambda: ul.GenSpec(3, 4, samples_per_class=2.5), "samples_per_class"),
+    (lambda: ul.UnlearnConfig("regun", lr=0.1, epochs=2.5), "epochs"),
+    (lambda: ul.UnlearnConfig("regun", lr=0.1, retain_batch_size=1.5), "retain_batch_size"),
+    (lambda: ul.UnlearnConfig("regun", lr=0.1, num_matched=True), "num_matched"),
+    (lambda: ul.RefDistConfig(num_matched=2.5), "num_matched"),
+])
+def test_config_classes_refuse_a_non_integer_count(build, field):
+    with pytest.raises(ValueError, match=f"^{field}: expected an integer, got "):
+        build()
+
+
 def test_integer_counts_keep_their_bytes_in_the_config_block():
     cfg = ul.default_config()
     again = replace(cfg, rmia_refs=np.int64(cfg.rmia_refs),
@@ -429,31 +444,48 @@ def test_run_isolates_a_failing_seed(tiny_cfg, monkeypatch):
     assert {r.seed for r in result.rows} == {tiny_cfg.seeds[0]}
 
 
+def _fail_points(monkeypatch, doomed):
+    """Make each unlearned point whose (seed, method, w) is in ``doomed``
+    raise, patched before any pool forks, so workers see it too."""
+    unlearn_module = importlib.import_module("unlearnlab.unlearn")
+    real = unlearn_module._run
+
+    def flaky(name, model, splits, data, cfg, *rest):
+        if (cfg.seed, name, cfg.w) in doomed or (cfg.seed, name, None) in doomed:
+            raise RuntimeError(f"synthetic {name} w={cfg.w}")
+        return real(name, model, splits, data, cfg, *rest)
+
+    monkeypatch.setattr(unlearn_module, "_run", flaky)
+
+
 def test_failures_match_across_the_pool(tiny_cfg, monkeypatch, tmp_path):
-    # every finetune and regun point of the second seed fails; the seed's
-    # failure is the first in serial grid order whichever unit the pool
-    # finishes first (patched before the pool forks, so workers see it)
-    real = harness.unlearn
-    doomed = ul.derive_seed(tiny_cfg.seeds[1], "unlearn")
-
-    def flaky(model, splits, data, cfg, reference=None):
-        if cfg.seed == doomed:
-            raise RuntimeError(f"synthetic {cfg.method} w={cfg.w}")
-        return real(model, splits, data, cfg, reference)
-
-    monkeypatch.setattr(harness, "unlearn", flaky)
-    serial = ul.run_experiment(tiny_cfg)
-    parallel = ul.run_experiment(tiny_cfg, workers=2)
-    assert serial.failures == parallel.failures == (harness.SeedFailure(
-        tiny_cfg.seeds[1], "unlearn:finetune",
-        "RuntimeError: synthetic finetune w=0.5"),)
-    assert {r.seed for r in parallel.rows} == {tiny_cfg.seeds[0]}
-    assert len(parallel.rows) == 2 + len(tiny_cfg.methods)
-    ul.write_report(serial, tmp_path / "serial")
-    ul.write_report(parallel, tmp_path / "parallel")
-    for name in ("metrics.csv", "aggregated.csv", "manifest.json"):
-        assert ((tmp_path / "serial" / name).read_bytes()
-                == (tmp_path / "parallel" / name).read_bytes())
+    # the seed's failure is the first in serial grid order whichever
+    # unit the pool finishes first
+    seed = ul.derive_seed(tiny_cfg.seeds[1], "unlearn")
+    for ws, doomed, failure in [
+        # every finetune and regun point of the second seed fails
+        ((0.5, 0.9), {("finetune", None), ("regun", None)},
+         ("unlearn:finetune", "RuntimeError: synthetic finetune w=0.5")),
+        # one point in the middle of the serial regun slice fails
+        ((0.5, 0.7, 0.9), {("regun", 0.7)},
+         ("unlearn:regun", "RuntimeError: synthetic regun w=0.7")),
+    ]:
+        cfg = replace(tiny_cfg, methods={**tiny_cfg.methods, "regun": replace(
+            tiny_cfg.methods["regun"], ws=ws)})
+        with monkeypatch.context() as patch:
+            _fail_points(patch, {(seed, *point) for point in doomed})
+            serial = ul.run_experiment(cfg)
+            parallel = ul.run_experiment(cfg, workers=2)
+        assert serial.failures == parallel.failures == (
+            harness.SeedFailure(cfg.seeds[1], *failure),)
+        assert {r.seed for r in parallel.rows} == {cfg.seeds[0]}
+        assert len(parallel.rows) == 2 + len(cfg.methods)
+        out = tmp_path / str(len(ws))
+        ul.write_report(serial, out / "serial")
+        ul.write_report(parallel, out / "parallel")
+        for name in ("metrics.csv", "aggregated.csv", "manifest.json"):
+            assert ((out / "serial" / name).read_bytes()
+                    == (out / "parallel" / name).read_bytes())
 
 
 def _blas_threads_here(_):
@@ -579,6 +611,65 @@ def test_sweep_rejects_non_w_methods(tiny_cfg, tiny_run):
         ul.sweep_tradeoff(tiny_cfg, "finetune", (0.5,), result=tiny_run)
     with pytest.raises(ValueError, match="not enabled"):
         ul.sweep_tradeoff(tiny_cfg, "neggrad_plus", (0.5,), result=tiny_run)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_sweep_reports_its_first_failure_in_w_then_seed_order(
+        tiny_cfg, tiny_run, monkeypatch, workers):
+    # the first seed fails at the last w, the second at the first w
+    first, second = (ul.derive_seed(s, "unlearn") for s in tiny_cfg.seeds)
+    _fail_points(monkeypatch, {(first, "regun", 0.7), (second, "regun", 0.3)})
+    with pytest.raises(ValueError, match=(
+            f"sweep of regun failed on seed {tiny_cfg.seeds[1]} at unlearn:regun: "
+            "RuntimeError: synthetic regun w=0.3")):
+        ul.sweep_tradeoff(tiny_cfg, "regun", (0.3, 0.5, 0.7), result=tiny_run,
+                          workers=workers)
+
+
+# -------------------------------------------------------------------- slices
+
+
+@pytest.mark.parametrize("n", range(0, 10))
+@pytest.mark.parametrize("count", [1, 2, 3, 7])
+def test_slices_are_contiguous_balanced_and_cover_every_point_once(n, count):
+    points = list(range(n))
+    parts = harness._slices(points, count)
+    assert len(parts) == min(count, n)
+    assert [p for part in parts for p in part] == points
+    assert all(part for part in parts)
+    assert max(map(len, parts), default=0) - min(map(len, parts), default=0) <= 1
+
+
+def test_a_slice_builds_its_plan_once(tiny_cfg, toy, monkeypatch):
+    unlearn_module = importlib.import_module("unlearnlab.unlearn")
+    real, built = unlearn_module._build_plan, []
+
+    def counted(*args):
+        built.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(unlearn_module, "_build_plan", counted)
+    cfg = ul.UnlearnConfig("regun", lr=0.05, epochs=2, batch_size=4, seed=3)
+    points = [cfg, replace(cfg, lr=0.01, w=0.9), replace(cfg, gamma=0.5, momentum=0.5)]
+    models = list(unlearn_module._run_slice(toy.base, toy.splits, toy.pool, points))
+    assert built == [cfg]
+    for point, model in zip(points, models, strict=True):
+        alone = ul.regun(toy.base, toy.splits, toy.pool, point)
+        assert np.array_equal(model.theta, alone.theta)
+    assert len(built) == 1 + len(points)  # called alone, each point builds its own
+    # a serial run builds one plan per seed and paired method
+    built.clear()
+    ul.run_experiment(tiny_cfg)
+    assert len(built) == len(tiny_cfg.seeds)
+
+
+def test_a_slice_refuses_points_that_need_different_plans(toy):
+    unlearn_module = importlib.import_module("unlearnlab.unlearn")
+    cfg = ul.UnlearnConfig("regun", lr=0.05, epochs=2, batch_size=4, seed=3)
+    for other in (replace(cfg, seed=4), replace(cfg, batch_size=2),
+                  replace(cfg, method="neggrad_plus")):
+        with pytest.raises(ValueError, match="may differ only in lr, w, momentum and gamma"):
+            next(unlearn_module._run_slice(toy.base, toy.splits, toy.pool, [cfg, other]))
 
 
 # ------------------------------------------------------------------- reports
@@ -815,15 +906,6 @@ def test_read_metrics_csv_names_the_line_of_an_out_of_range_value_once(tmp_path)
 
 
 # ------------------------------------------------- seed preparation as jobs
-
-
-def test_no_step_plan_outlives_a_run(tiny_cfg, tiny_run):
-    # regun is a paired method, so both calls build and cache a plan
-    unlearn_module = importlib.import_module("unlearnlab.unlearn")
-    ul.run_experiment(tiny_cfg)
-    assert unlearn_module._plan_slot is None
-    ul.sweep_tradeoff(tiny_cfg, "regun", (0.5,), result=tiny_run)
-    assert unlearn_module._plan_slot is None
 
 
 def test_pooled_preparation_matches_prepare_seed_bit_for_bit(tiny_cfg):

@@ -6,6 +6,7 @@ import importlib
 import math
 import struct
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -353,48 +354,18 @@ def unlearned(model, reference, pool, splits, cfg):
 
 
 @settings(max_examples=150, deadline=None)
-@given(paired_runs())
-def test_plan_replay_equals_the_public_loop_bit_for_bit(run):
+@given(paired_runs(), st.floats(0.001, 0.2), st.floats(0.0, 1.0))
+def test_plan_replay_equals_the_public_loop_bit_for_bit(run, lr, w):
     model, reference, pool, splits, cfg = run
     want = public_paired_loop(model, pool, splits, cfg, reference)
     got = unlearned(model, reference, pool, splits, cfg)
     assert np.array_equal(got.theta.view(np.uint64), want.theta.view(np.uint64))
-    # a second run is served from the cache and gives the same bits
-    again = unlearned(model, reference, pool, splits, cfg)
-    assert np.array_equal(again.theta.view(np.uint64), want.theta.view(np.uint64))
-
-
-def variants(model, reference, pool, splits, rng):
-    """Runs that differ from the given one in one input of its plan only."""
-    relabelled = pool.labels.copy()
-    relabelled[splits.held_out] = rng.permutation(relabelled[splits.held_out])
-    relabelled[splits.forget] = rng.integers(1, pool.num_classes + 1,
-                                             size=splits.forget.size)
-    moved = pool.features.copy()
-    moved[splits.held_out] += 1.0
-    held = np.sort(np.concatenate([splits.held_out, splits.validation[:1]]))
-    return [
-        ("reference", model, reference.with_theta(reference.theta + 0.5), pool, splits),
-        ("held-out set", model, reference, pool, ul.DataSplits(
-            held, splits.forget, splits.validation[1:], splits.retain, pool)),
-        ("relabelled pool", model, reference,
-         ul.Dataset(pool.features, relabelled, pool.num_classes), splits),
-        ("held-out features", model, reference,
-         ul.Dataset(moved, pool.labels, pool.num_classes), splits),
-    ]
-
-
-@settings(max_examples=60, deadline=None)
-@given(paired_runs(), st.integers(0, 2**32 - 1))
-def test_the_plan_cache_is_never_stale(run, seed):
-    model, reference, pool, splits, cfg = run
-    for what, *other in variants(model, reference, pool, splits,
-                                 np.random.default_rng(seed)):
-        unlearned(model, reference, pool, splits, cfg)  # caches this run's plan
-        want = public_paired_loop(other[0], other[2], other[3], cfg, other[1])
-        got = unlearned(*other, cfg)
-        assert np.array_equal(got.theta.view(np.uint64),
-                              want.theta.view(np.uint64)), what
+    # a two-point slice replays one plan; each point is its own public loop
+    points = [cfg, replace(cfg, lr=lr, w=w)]
+    sliced = unlearn_module._run_slice(model, splits, pool, points, reference)
+    for point, mine in zip(points, sliced, strict=True):
+        want = public_paired_loop(model, pool, splits, point, reference)
+        assert np.array_equal(mine.theta.view(np.uint64), want.theta.view(np.uint64))
 
 
 def test_the_paired_methods_share_no_plan(toy):
@@ -405,21 +376,3 @@ def test_the_paired_methods_share_no_plan(toy):
         got = unlearned(toy.base, toy.base, toy.pool, toy.splits, cfg)
         want = public_paired_loop(toy.base, toy.pool, toy.splits, cfg, toy.base)
         assert np.array_equal(got.theta, want.theta), cfg.method
-
-
-def test_a_coverage_error_caches_nothing(toy):
-    cfg = UnlearnConfig(method="regun", lr=0.05, epochs=2, batch_size=4, seed=3)
-    before = unlearned(toy.base, toy.base, toy.pool, toy.splits, cfg)
-    slot = unlearn_module._plan_slot
-    # relabel every held-out row of class 3 so class 3 has no held-out rows
-    labels = toy.pool.labels.copy()
-    held = toy.splits.held_out
-    labels[held[labels[held] == 3]] = 1
-    uncovered = ul.Dataset(toy.pool.features, labels, toy.pool.num_classes)
-    with pytest.raises(ul.CoverageError, match="class 3 needs"):
-        unlearned(toy.base, toy.base, uncovered, toy.splits, cfg)
-    with pytest.raises(ul.CoverageError, match="class 3 needs"):
-        public_paired_loop(toy.base, uncovered, toy.splits, cfg, toy.base)
-    assert unlearn_module._plan_slot in (None, slot)
-    after = unlearned(toy.base, toy.base, toy.pool, toy.splits, cfg)
-    assert np.array_equal(after.theta, before.theta)

@@ -352,7 +352,7 @@ def test_w_methods_are_the_records_listing_w():
 def test_regun_checks_its_planned_targets_before_the_first_step(
         toy, monkeypatch, spoil, match):
     # the third planned target is no distribution: the plan is refused
-    # with LossSpec's message before any step, and nothing is cached
+    # with LossSpec's message before any step
     unlearn_module = importlib.import_module("unlearnlab.unlearn")
     real, drawn, steps = unlearn_module.build_refdist, [], []
 
@@ -367,9 +367,7 @@ def test_regun_checks_its_planned_targets_before_the_first_step(
 
     monkeypatch.setattr(unlearn_module, "build_refdist", spoilt)
     monkeypatch.setattr(unlearn_module, "sgd_step", counted)
-    monkeypatch.setattr(unlearn_module, "_plan_slot", None)
     cfg = cfg_for("regun", toy, epochs=2, batch_size=4, num_matched=8)
     with pytest.raises(ValueError, match=match):
         ul.regun(toy.base, toy.splits, toy.pool, cfg)
     assert len(drawn) > 3 and steps == []
-    assert unlearn_module._plan_slot is None
