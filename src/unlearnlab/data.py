@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .textio import _integer, parse_cell, read_rows, write_rows
+from .textio import check_fields, parse_cell, read_rows, write_rows
 
 
 class DataError(ValueError):
@@ -74,16 +74,17 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if _integer(self.num_classes, "num_classes") < 2:
+        check_fields(self)
+        if self.num_classes < 2:
             raise ValueError("num_classes must be >= 2")
-        if _integer(self.input_dim, "input_dim") < 1:
+        if self.input_dim < 1:
             raise ValueError("input_dim must be >= 1")
-        if _integer(self.samples_per_class, "samples_per_class") < 1:
+        if self.samples_per_class < 1:
             raise ValueError("samples_per_class must be >= 1")
-        if not (self.centroid_scale > 0.0):
-            raise ValueError("centroid_scale must be > 0")
-        if not (self.noise_sigma > 0.0):
-            raise ValueError("noise_sigma must be > 0")
+        if not (math.isfinite(self.centroid_scale) and self.centroid_scale > 0.0):
+            raise ValueError("centroid_scale must be finite and > 0")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma > 0.0):
+            raise ValueError("noise_sigma must be finite and > 0")
 
 
 # Centroids depend only on the mixture shape, never on the sampling

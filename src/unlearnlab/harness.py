@@ -16,13 +16,11 @@ import glob
 import json
 import math
 import os
-import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from functools import partial
 from itertools import product, zip_longest
-from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -61,7 +59,7 @@ from .models import (
     init_model,
     train,
 )
-from .textio import _integer, parse_cell, read_rows, write_rows
+from .textio import _EXPECTED, _value, check_fields, parse_cell, read_rows, write_rows
 from .unlearn import METHOD_TABLE, METHODS, UnlearnConfig, _run_slice
 
 REPORT_FORMAT = "unlearnlab-run v1"
@@ -122,11 +120,7 @@ class MethodGrid:
     num_matched: int | None = None
 
     def __post_init__(self):
-        for name in ("lrs", "ws", "gammas"):
-            values = getattr(self, name)
-            if any(isinstance(v, bool) for v in values):
-                raise ValueError(f"grid {name}: expected numbers, got {values!r}")
-            object.__setattr__(self, name, tuple(float(v) for v in values))
+        check_fields(self, "grid ")
         if not self.lrs or not self.ws or not self.gammas:
             raise ValueError("grid axes must be non-empty")
         if not all(math.isfinite(lr) and lr > 0 for lr in self.lrs):
@@ -136,12 +130,8 @@ class MethodGrid:
         if not all(math.isfinite(g) and g >= 0 for g in self.gammas):
             raise ValueError("grid gammas must be finite and >= 0")
         for name in ("batch_size", "retain_batch_size", "num_matched"):
-            v = getattr(self, name)
-            if v is not None:
-                v = _integer(v, f"grid {name}")
-                if v < 1:
-                    raise ValueError(f"grid {name} must be >= 1")
-                object.__setattr__(self, name, v)
+            if getattr(self, name) is not None and getattr(self, name) < 1:
+                raise ValueError(f"grid {name} must be >= 1")
 
 
 _DEFAULT_GRID = MethodGrid()
@@ -172,7 +162,7 @@ class ExperimentConfig:
     rmia_refs: int = 4
 
     def __post_init__(self):
-        object.__setattr__(self, "seeds", tuple(_integer(s, "seeds") for s in self.seeds))
+        check_fields(self)
         if (self.gen is None) == (self.pool_csv is None):
             raise ValueError("configure exactly one of gen or pool_csv")
         if self.pool_csv is not None and self.test_csv is None:
@@ -184,8 +174,6 @@ class ExperimentConfig:
                 raise ValueError("gen and arch disagree on input_dim")
         if not (0.0 < self.forget_fraction < 1.0):
             raise ValueError("forget_fraction must lie strictly in (0, 1)")
-        for name in ("unlearn_epochs", "rmia_refs"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.unlearn_epochs < 0:
             raise ValueError("unlearn_epochs must be >= 0")
         if not self.seeds:
@@ -248,8 +236,6 @@ def default_config() -> ExperimentConfig:
 _DERIVED = {"seed", "gen", "pool_csv", "test_csv", "csv_header"}
 _ARCH_FIELDS = {f.name for f in fields(ArchitectureSpec)}
 _CSV_KEYS = {"pool": "pool_csv", "test": "test_csv", "header": "csv_header"}
-_EXPECTED = {int: "an integer", float: "a finite number", bool: "true or false",
-             str: "a string", tuple: "a list"}
 
 
 def _config_keys(cls) -> dict:
@@ -297,18 +283,10 @@ def _read(cls, doc: dict, defaults, path: str, keys=None) -> dict:
 
 
 def _typed(hint, value, path: str, default=None):
-    """``value`` checked against a field's type hint.
-
-    int takes JSON ints but not bools, float takes finite ints or floats
-    and stores a float, bool only bools, str only strings.  A tuple comes
-    from a list, a dataclass from an object (absent keys from
-    ``default``), a dict of dataclasses from an object of objects, and
-    ``X | None`` also takes null.  A mismatch raises ValueError naming
-    the key ``path``.
-    """
+    """``value`` as a field of type ``hint``: a list becomes a tuple and an
+    object a dataclass (absent keys from ``default``) or a dict of them;
+    the rest must pass ``textio._value`` and, as floats, be finite."""
     origin, args = get_origin(hint), get_args(hint)
-    if origin is UnionType:
-        return None if value is None else _typed(args[0], value, path, default)
     if origin is tuple and isinstance(value, list):
         return tuple(_typed(args[0], v, f"{path}[{i}]")
                      for i, v in enumerate(value))
@@ -317,14 +295,10 @@ def _typed(hint, value, path: str, default=None):
                 for k, v in value.items()}
     if is_dataclass(hint) and isinstance(value, dict):
         return hint(**_read(hint, value, default, path + "."))
-    if hint is float and type(value) is int and abs(value) <= sys.float_info.max:
-        value = float(value)
-    if (origin is None and isinstance(value, hint)
-            and isinstance(value, bool) == (hint is bool)
-            and (hint is not float or math.isfinite(value))):
-        return value
-    expected = _EXPECTED.get(origin or hint, "an object")
-    raise ValueError(f"config key {path}: expected {expected}, got {value!r}")
+    value = _value(hint, value, f"config key {path}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"config key {path}: expected {_EXPECTED[float]}, got {value!r}")
+    return value
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
@@ -335,13 +309,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     ``_typed``); both raise ValueError naming the key.
     """
     defaults = default_config()
-    if not isinstance(doc, dict):
-        raise ValueError(f"config: expected an object, got {doc!r}")
-    doc = dict(doc)
-    data = doc.pop("data", {})
-    if not isinstance(data, dict):
-        raise ValueError(f"config key data: expected an object, got {data!r}")
-    data = dict(data)
+    doc = dict(_value(dict, doc, "config"))
+    data = dict(_value(dict, doc.pop("data", {}), "config key data"))
     source = data.pop("source", "gaussian")
     kwargs = _read(ExperimentConfig, doc, defaults, "")
     if source == "gaussian":
@@ -722,7 +691,7 @@ def _mapper(workers: int):
     the block, each pool worker for good; a pooled caller computes
     nothing), so parallelism comes only from ``workers``, an integer
     >= 1."""
-    workers = _integer(workers, "workers")
+    workers = _value(int, workers, "workers")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if workers == 1:

@@ -37,7 +37,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .textio import _integer, parse_cell, read_rows, write_rows
+from .textio import check_fields, parse_cell, read_rows, write_rows
 
 ARCH_KINDS = ("linear", "mlp1")
 ACTIVATIONS = ("tanh", "relu")
@@ -61,18 +61,18 @@ class ArchitectureSpec:
     activation: str = "tanh"
 
     def __post_init__(self):
+        check_fields(self)
         if self.kind not in ARCH_KINDS:
             raise ValueError(f"unknown architecture kind {self.kind!r}")
-        if _integer(self.input_dim, "input_dim") < 1:
+        if self.input_dim < 1:
             raise ValueError("input_dim must be >= 1")
-        if _integer(self.num_classes, "num_classes") < 2:
+        if self.num_classes < 2:
             raise ValueError("num_classes must be >= 2")
-        hidden_dim = _integer(self.hidden_dim, "hidden_dim")
         if self.kind == "linear":
-            if hidden_dim != 0:
+            if self.hidden_dim != 0:
                 raise ValueError("linear model takes hidden_dim == 0")
         else:
-            if hidden_dim < 1:
+            if self.hidden_dim < 1:
                 raise ValueError("mlp1 needs hidden_dim >= 1")
             if self.activation not in ACTIVATIONS:
                 raise ValueError(f"unknown activation {self.activation!r}")
@@ -523,9 +523,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if _integer(self.epochs, "epochs") < 0:
+        check_fields(self)
+        if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if _integer(self.batch_size, "batch_size") < 1:
+        if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if not (math.isfinite(self.lr) and self.lr > 0.0):
             raise ValueError("lr must be finite and > 0")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Dataset, class_histogram
 from .models import Model, forward_probs
-from .textio import _integer
+from .textio import check_fields
 
 
 class CoverageError(ValueError):
@@ -36,7 +36,8 @@ class RefDistConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_matched is not None and _integer(self.num_matched, "num_matched") < 1:
+        check_fields(self)
+        if self.num_matched is not None and self.num_matched < 1:
             raise ValueError("num_matched must be >= 1")
 
 

@@ -1,4 +1,5 @@
-"""The row format of dataset CSVs, report CSVs and checkpoints.
+"""The row format of dataset CSVs, report CSVs and checkpoints, and the
+field rule of every config class.
 
 A row file is UTF-8 text, one row of comma-separated cells per line.
 The writer prints floats as FLOAT_FMT, None as an empty cell and other
@@ -8,27 +9,54 @@ skips blank lines.  A line whose cell count differs from the first
 line's, or a cell that does not parse as its type (floats must be
 finite), raises ValueError naming the file and the 1-based line; a
 file that is not UTF-8 raises ValueError naming the file.
+
+The field rule ``_value`` decides from a type hint what a config value
+may be, built in Python or read from JSON; each config class applies it
+to every field (``check_fields``) before range checks refuse the rest.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from contextlib import suppress
+from functools import cache
 from types import UnionType
-from typing import get_args, get_origin
+from typing import get_args, get_origin, get_type_hints
 
 # 17 significant digits round-trip IEEE-754 doubles exactly.
 FLOAT_FMT = "%.17g"
 
-_EXPECTED = {int: "an integer", float: "a finite number"}
+_EXPECTED = {int: "an integer", float: "a finite number", bool: "true or false",
+             str: "a string", tuple: "a list"}
+
+_hints = cache(get_type_hints)
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as an int: a bool or a non-integer (1.5, but also 2.0)
-    raises ValueError naming ``name`` instead of being truncated."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name}: expected an integer, got {value!r}")
-    return int(value)
+def _value(hint, value, name: str):
+    """``value`` stored as type ``hint``, else a ValueError naming ``name``.
+    int and float take integral and real numbers, never bools; a tuple
+    takes a tuple or list, ``X | None`` also None, other hints instances."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is UnionType:
+        return None if value is None else _value(args[0], value, name)
+    kind = origin or hint
+    number = {int: numbers.Integral, float: numbers.Real}.get(kind)
+    if kind is tuple and isinstance(value, (tuple, list)):
+        return tuple(_value(args[0], v, name) for v in value)
+    if number and isinstance(value, number) and not isinstance(value, bool):
+        with suppress(OverflowError):  # an int beyond the float range
+            return kind(value)
+    elif not number and isinstance(value, kind):
+        return value
+    raise ValueError(f"{name}: expected {_EXPECTED.get(kind, 'an object')}, got {value!r}")
+
+
+def check_fields(obj, prefix: str = "") -> None:
+    """Store each field of dataclass ``obj`` as ``_value`` checks it
+    against its hint, naming ``prefix`` + the field in an error."""
+    for name, hint in _hints(type(obj)).items():
+        object.__setattr__(obj, name, _value(hint, getattr(obj, name), prefix + name))
 
 
 def _text(value) -> str:

@@ -40,7 +40,7 @@ from .models import (
     train,
 )
 from .reference import RefDistConfig, build_refdist
-from .textio import _integer
+from .textio import check_fields
 
 # Gradient ascent diverges quickly under a full unlearning budget, so
 # neggrad always runs exactly this many epochs (a zero budget still
@@ -102,17 +102,17 @@ class UnlearnConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         if self.method not in METHODS:
             raise ValueError(f"unknown unlearning method {self.method!r}")
         self.train_config()  # checks epochs, batch_size, lr and momentum
-        if (self.retain_batch_size is not None
-                and _integer(self.retain_batch_size, "retain_batch_size") < 1):
+        if self.retain_batch_size is not None and self.retain_batch_size < 1:
             raise ValueError("retain_batch_size must be >= 1")
         if not (0.0 <= self.w <= 1.0):
             raise ValueError("w must lie in [0, 1]")
         if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
             raise ValueError("gamma must be finite and >= 0")
-        if self.num_matched is not None and _integer(self.num_matched, "num_matched") < 1:
+        if self.num_matched is not None and self.num_matched < 1:
             raise ValueError("num_matched must be >= 1")
 
     def train_config(self, epochs: int | None = None) -> TrainConfig:

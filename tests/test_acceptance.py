@@ -362,7 +362,8 @@ def test_criterion_8_sweep_stability(full_run):
     start = time.monotonic()
     spreads = {}
     for method in ("regun", "neggrad_plus"):
-        points = ul.sweep_tradeoff(cfg, method, DEFAULT_SWEEP_WS, result=result)
+        points = ul.sweep_tradeoff(cfg, method, DEFAULT_SWEEP_WS, result=result,
+                                   workers=2)
         accs = [p.test_acc_mean for p in points]
         spreads[method] = max(accs) - min(accs)
     elapsed = run_elapsed + (time.monotonic() - start)

@@ -1,5 +1,7 @@
 """Data layer: mixture generator, histograms, splits, minibatches, CSV I/O."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,11 @@ def test_genspec_validation():
     with pytest.raises(ValueError):
         ul.GenSpec(num_classes=3, input_dim=4, samples_per_class=10,
                    noise_sigma=0.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="centroid_scale must be finite"):
+            ul.GenSpec(3, 4, 10, centroid_scale=bad)
+        with pytest.raises(ValueError, match="noise_sigma must be finite"):
+            ul.GenSpec(3, 4, 10, noise_sigma=bad)
 
 
 def test_mixture_is_balanced_and_deterministic():

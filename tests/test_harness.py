@@ -141,9 +141,9 @@ def test_method_grid_rejects_non_finite_values(axis, bad, match):
     ({"num_matched": 2.9}, "grid num_matched: expected an integer, got 2.9"),
     ({"retain_batch_size": True}, "grid retain_batch_size: expected an integer"),
     ({"batch_size": 2.0}, "grid batch_size: expected an integer"),
-    ({"lrs": (0.1, True)}, "grid lrs: expected numbers"),
-    ({"ws": (False,)}, "grid ws: expected numbers"),
-    ({"gammas": (True,)}, "grid gammas: expected numbers"),
+    ({"lrs": (0.1, True)}, "grid lrs: expected a finite number"),
+    ({"ws": (False,)}, "grid ws: expected a finite number"),
+    ({"gammas": (True,)}, "grid gammas: expected a finite number"),
 ])
 def test_method_grid_refuses_to_truncate_or_coerce_a_knob(kwargs, match):
     with pytest.raises(ValueError, match=match):
@@ -175,6 +175,32 @@ def test_experiment_config_refuses_a_non_integer_count(name, bad):
 ])
 def test_config_classes_refuse_a_non_integer_count(build, field):
     with pytest.raises(ValueError, match=f"^{field}: expected an integer, got "):
+        build()
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: ul.TrainConfig(1, 4, 0.1, seed=True), "seed"),
+    (lambda: ul.TrainConfig(1, 4, 0.1, seed=2.5), "seed"),
+    (lambda: ul.GenSpec(3, 4, 5, seed=True), "seed"),
+    (lambda: ul.GenSpec(3, 4, 5, seed=2.5), "seed"),
+    (lambda: ul.UnlearnConfig("finetune", lr=0.1, seed=True), "seed"),
+    (lambda: ul.UnlearnConfig("finetune", lr=0.1, seed=2.5), "seed"),
+    (lambda: ul.RefDistConfig(seed=True), "seed"),
+    (lambda: ul.RefDistConfig(seed=2.5), "seed"),
+    (lambda: ul.TrainConfig(1, 4, lr=True), "lr"),
+    (lambda: ul.UnlearnConfig("finetune", lr=0.1, w=True), "w"),
+    (lambda: replace(ul.default_config(), gen=None, pool_csv="p", test_csv="t",
+                     csv_header="false"), "csv_header"),
+    (lambda: replace(ul.default_config(), gen=None, pool_csv=1, test_csv="t"),
+     "pool_csv"),
+    (lambda: replace(ul.default_config(), arch=None), "arch"),
+    (lambda: replace(ul.default_config(), forget_fraction="0.1"), "forget_fraction"),
+    (lambda: MethodGrid(lrs=0.1), "grid lrs"),
+    (lambda: ul.ArchitectureSpec("linear", 4, 3, 0, activation=1), "activation"),
+])
+def test_a_wrong_typed_field_fails_at_construction(build, field):
+    # each of these used to construct, or to fail later with another error
+    with pytest.raises(ValueError, match=f"^{field}: expected"):
         build()
 
 

@@ -1,13 +1,17 @@
 """Property tests: the attack AUC, histogram matching, pool splits,
 bit-exact round trips of every row file, exact gradients, the blocked
-forward pass and the step plans of the paired unlearning methods."""
+forward pass, the step plans of the paired unlearning methods and the
+type rule of every config field."""
 
 import importlib
 import math
+import re
 import struct
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
@@ -376,3 +380,72 @@ def test_the_paired_methods_share_no_plan(toy):
         got = unlearned(toy.base, toy.base, toy.pool, toy.splits, cfg)
         want = public_paired_loop(toy.base, toy.pool, toy.splits, cfg, toy.base)
         assert np.array_equal(got.theta, want.theta), cfg.method
+
+
+# -------------------------------------------------------------- config fields
+
+_cfg = ul.default_config()
+# Every config class as a valid instance, the prefix of its field errors
+# and the path of its fields in a config document (None: it holds none).
+CONFIGS = [
+    (_cfg, "", ""),
+    (_cfg.arch, "", "arch."),
+    (_cfg.base, "", "base."),
+    (_cfg.gen, "", "data."),
+    (_cfg.methods["regun"], "grid ", "methods.regun."),
+    (UnlearnConfig("regun", lr=0.1), "", None),
+    (ul.RefDistConfig(), "", None),
+]
+FIELDS = [(obj, prefix, path, name, hint) for obj, prefix, path in CONFIGS
+          for name, hint in get_type_hints(type(obj)).items()]
+# Fields a document leaves to the experiment, and the CSV source's keys.
+DERIVED = {"seed", "gen", "data.num_classes", "data.input_dim"}
+CSV_KEYS = {"pool_csv": "pool", "test_csv": "test", "csv_header": "header"}
+any_number = st.integers() | st.floats()
+
+
+def wrong_values(hint):
+    """Values no field hinted ``hint`` takes, None aside."""
+    if get_origin(hint) is UnionType:
+        hint = get_args(hint)[0]
+    return {
+        int: st.booleans() | st.floats() | st.text(),
+        float: st.booleans() | st.text(),
+        str: any_number,
+        bool: any_number | st.text(),
+        tuple: any_number | st.booleans() | st.text(),
+    }.get(get_origin(hint) or hint, any_number | st.text())  # an object
+
+
+def document_key(path, name):
+    """The dotted key of field ``name`` in a config document, or None."""
+    if path is None or name in DERIVED or path + name in DERIVED:
+        return None
+    return "data." + CSV_KEYS[name] if path == "" and name in CSV_KEYS else path + name
+
+
+def document(key, value):
+    """A config document holding ``value`` at the dotted ``key``."""
+    *parents, leaf = key.split(".")
+    doc = node = {}
+    for part in parents:
+        node = node.setdefault(part, {})
+    node[leaf] = value
+    if key in ("data.pool", "data.test", "data.header"):
+        node.update({"source": "csv", "pool": "p.csv", "test": "t.csv", leaf: value})
+    return doc
+
+
+@pytest.mark.parametrize("obj, prefix, path, name, hint", FIELDS,
+                         ids=[f"{type(f[0]).__name__}.{f[3]}" for f in FIELDS])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_a_wrong_typed_field_is_refused_in_python_and_in_json(
+        obj, prefix, path, name, hint, data):
+    bad = data.draw(wrong_values(hint))
+    with pytest.raises(ValueError, match=f"^{re.escape(prefix + name)}: expected "):
+        replace(obj, **{name: bad})
+    key = document_key(path, name)
+    if key is not None:
+        with pytest.raises(ValueError, match=f"^config key {re.escape(key)}: expected "):
+            ul.config_from_dict(document(key, bad))
