@@ -869,6 +869,9 @@ def sweep_tradeoff(cfg: ExperimentConfig, method: str, w_grid,
         raise ValueError(f"method {method!r} has no w to sweep")
     if method not in cfg.methods:
         raise ValueError(f"method {method!r} not enabled in config")
+    ws = _value(tuple[float, ...], w_grid, "ws")
+    if not ws or not all(0.0 <= w <= 1.0 for w in ws):
+        raise ValueError(f"ws must be non-empty and lie in [0, 1], got {ws!r}")
     if result is None:
         result = run_experiment(cfg, workers=workers)
     if method not in result.selected:
@@ -876,7 +879,6 @@ def sweep_tradeoff(cfg: ExperimentConfig, method: str, w_grid,
     anchor = result.selected[method]
     retrain_rows = {r.seed: r for r in result.rows if r.method == "retrain"}
     contexts = [ctx for _, ctx in sorted(result.contexts.items())]
-    ws = [float(w) for w in w_grid]
     with _mapper(workers) as pmap:
         units = [(ctx, part) for ctx in contexts for part in _slices(
             [replace(anchor, w=w, seed=derive_seed(ctx.seed, "unlearn")) for w in ws], workers)]

@@ -9,13 +9,18 @@ autodiff and no approximation.
 
 All gradients come from one private core, ``_grad``.  It trusts its
 inputs, apart from the soft target's length: ``loss_and_grad``
-validates one batch and then calls it, while
-``train`` and the unlearning loops validate their whole index set once
-on entry (``_loop_rows``) and call it once per step.  Log-probabilities
+validates one batch and then calls it, while ``train`` and the
+unlearning loops validate their whole index set once on entry
+(``_loop_rows``) and then step one ``_Kernel``.  Log-probabilities
 are z - lse(z) per row, with lse(z) = log1p(s / m) + log(m) + c, where
 c is the row maximum, m the number of entries equal to c and s the sum
-of exp(z - c) over the other entries.  This is scipy's
-``logsumexp`` algorithm in plain numpy and gives its bits exactly.
+of exp(z - c) over the other entries: scipy's ``logsumexp`` algorithm
+in plain numpy, bit for bit.
+
+Ownership: a Model's theta is never written.  A training loop copies
+the incoming theta once into a ``_Kernel``, updates that copy in place
+with the IEEE operations of the public ``loss_and_grad`` + ``sgd_step``
+loop, in the same order, and hands it over in the Model it returns.
 
 Inference forwards go through ``forward_logits``, which cuts a batch of
 more than 1,024 rows into the balanced contiguous blocks of
@@ -89,7 +94,8 @@ class ArchitectureSpec:
 class Model:
     """An architecture plus one flat float64 parameter vector.
 
-    ``theta`` is treated as immutable: every update returns a new Model.
+    ``theta`` is never written once the Model exists: a training loop
+    updates a private copy in place and hands it over in a new Model.
     Layout is row-major per layer, weights before biases.  For linear:
     W (K x d) then b (K).  For mlp1: W1 (h x d), b1 (h), W2 (K x h),
     b2 (K).  ``init_seed`` records which stream initialized the original
@@ -115,20 +121,18 @@ class Model:
 
 def unpack_params(model: Model):
     """Return per-layer (W, b) views into the flat parameter vector."""
-    arch, theta = model.arch, model.theta
+    return _layers(model.arch, model.theta)
+
+
+def _layers(arch: ArchitectureSpec, flat: np.ndarray):
+    """Per-layer (W, b) views into any flat vector in theta layout."""
     d, k, h = arch.input_dim, arch.num_classes, arch.hidden_dim
-    if arch.kind == "linear":
-        w = theta[: k * d].reshape(k, d)
-        b = theta[k * d :]
-        return [(w, b)]
-    o1 = h * d
-    o2 = o1 + h
-    o3 = o2 + k * h
-    w1 = theta[:o1].reshape(h, d)
-    b1 = theta[o1:o2]
-    w2 = theta[o2:o3].reshape(k, h)
-    b2 = theta[o3:]
-    return [(w1, b1), (w2, b2)]
+    layers, start = [], 0
+    for rows, cols in [(k, d)] if arch.kind == "linear" else [(h, d), (k, h)]:
+        end = start + rows * cols
+        layers.append((flat[start:end].reshape(rows, cols), flat[end : end + rows]))
+        start = end + rows
+    return layers
 
 
 def init_model(arch: ArchitectureSpec, seed: int) -> Model:
@@ -156,13 +160,26 @@ def _activate(z: np.ndarray, activation: str) -> None:
         np.maximum(z, 0.0, out=z)
 
 
-def _activate_grad(a: np.ndarray, activation: str) -> np.ndarray:
-    """d activation / d z from the activation ``a`` alone."""
+def _activate_grad(a: np.ndarray, activation: str, out: np.ndarray) -> np.ndarray:
+    """d activation / d z from the activation ``a`` alone, into ``out``."""
     if activation == "tanh":
-        return 1.0 - a * a
+        return np.subtract(1.0, np.multiply(a, a, out=out), out=out)
     # relu subgradient at 0 is taken as 0; max(z, 0) > 0 exactly where
     # z > 0, NaN and -0.0 included
-    return (a > 0.0).astype(np.float64)
+    return np.greater(a, 0.0, out=out)
+
+
+def _workspace():
+    """Float64 scratch arrays by name: ``get(name, n, width)`` returns the
+    leading rows ``buf[:n]`` of one (rows, width) buffer, reallocated
+    only when more rows are asked for, so a short last batch reuses it."""
+    bufs = {}
+
+    def get(name, n, width):
+        if name not in bufs or len(bufs[name]) < n:
+            bufs[name] = np.empty((n, width))
+        return bufs[name][:n]
+    return get
 
 
 def _check_inputs(model: Model, x: np.ndarray) -> np.ndarray:
@@ -172,32 +189,28 @@ def _check_inputs(model: Model, x: np.ndarray) -> np.ndarray:
     if x.shape[0] == 0:
         raise ValueError("empty batch")
     if x.shape[1] != model.arch.input_dim:
-        raise ValueError(
-            f"inputs have {x.shape[1]} features, model expects "
-            f"{model.arch.input_dim}"
-        )
+        raise ValueError(f"inputs have {x.shape[1]} features, model expects "
+                         f"{model.arch.input_dim}")
     return x
 
 
-def _forward_cached(model: Model, x: np.ndarray):
+def _forward_cached(model: Model, x: np.ndarray, ws=None):
     """(logits, hidden activation) for the backward pass; the activation
     is None for a linear model.
 
-    Biases are added in place and the activation is written over the
-    pre-activation: the same bits as ``x @ w.T + b`` and ``tanh(z)``
-    with one (batch, width) array per layer.
+    Each layer writes its (batch, width) output into the workspace ``ws``
+    (a fresh one when None), adds its bias in place and, if hidden,
+    writes the activation over it: the same bits as ``tanh(x @ w.T + b)``.
     """
-    layers = unpack_params(model)
-    if model.arch.kind == "linear":
-        w, b = layers[0]
-        logits = x @ w.T
-        logits += b
-        return logits, None
-    (w1, b1), (w2, b2) = layers
-    a1 = x @ w1.T
-    a1 += b1
-    _activate(a1, model.arch.activation)
-    logits = a1 @ w2.T
+    ws = ws or _workspace()
+    *hidden, (w2, b2) = unpack_params(model)
+    a1 = None
+    if hidden:
+        [(w1, b1)] = hidden
+        x = a1 = np.matmul(x, w1.T, out=ws("a1", x.shape[0], w1.shape[0]))
+        a1 += b1
+        _activate(a1, model.arch.activation)
+    logits = np.matmul(x, w2.T, out=ws("logits", x.shape[0], w2.shape[0]))
     logits += b2
     return logits, a1
 
@@ -359,7 +372,8 @@ def _check_labels(y, num_classes: int, n: int) -> np.ndarray:
     return y
 
 
-def _grad(model: Model, x: np.ndarray, y0, spec: LossSpec, target=None):
+def _grad(model: Model, x: np.ndarray, y0, spec: LossSpec, target=None,
+          ws=None, out=None):
     """The gradient core: log-probabilities and exact d loss / d theta.
 
     Only the soft target's length is checked here, as it can change
@@ -372,10 +386,13 @@ def _grad(model: Model, x: np.ndarray, y0, spec: LossSpec, target=None):
     the per-row target (one-hot label or the soft target), the logit
     gradient is (p - t) / batch, negated for neg_ce_hard, and is
     back-propagated through the layers.  The L1 subgradient
-    l1_weight * sign(theta) is added last.
+    l1_weight * sign(theta) is added last.  The (batch, width)
+    intermediates go into the workspace ``ws`` and the gradient into
+    ``out``; either is allocated when None.
     """
+    ws = ws or _workspace()
     n, k = x.shape[0], model.arch.num_classes
-    logits, a1 = _forward_cached(model, x)
+    logits, a1 = _forward_cached(model, x, ws)
     log_p = _log_softmax(logits)
     # dz starts as the probabilities; subtracting the target in place
     # gives the same bits as subtracting a dense target array
@@ -389,28 +406,24 @@ def _grad(model: Model, x: np.ndarray, y0, spec: LossSpec, target=None):
         dz -= q
     dz /= n
     if spec.kind == "neg_ce_hard":
-        dz = -dz
+        np.negative(dz, out=dz)
 
-    grad = np.empty_like(model.theta)
-    arch = model.arch
-    d, h = arch.input_dim, arch.hidden_dim
-    if arch.kind == "linear":
-        grad[: k * d] = (dz.T @ x).ravel()
-        grad[k * d :] = dz.sum(axis=0)
-    else:
-        (w1, _), (w2, _) = unpack_params(model)
-        da1 = dz @ w2
-        dz1 = da1 * _activate_grad(a1, arch.activation)
-        o1 = h * d
-        o2 = o1 + h
-        o3 = o2 + k * h
-        grad[:o1] = (dz1.T @ x).ravel()
-        grad[o1:o2] = dz1.sum(axis=0)
-        grad[o2:o3] = (dz.T @ a1).ravel()
-        grad[o3:] = dz.sum(axis=0)
+    grad = np.empty_like(model.theta) if out is None else out
+    # each block is written through its (W, b) view into grad
+    (gw, gb), *hidden = reversed(_layers(model.arch, grad))
+    np.matmul(dz.T, x if a1 is None else a1, out=gw)
+    dz.sum(axis=0, out=gb)
+    if a1 is not None:
+        [(gw1, gb1)] = hidden
+        dz1 = np.matmul(dz, unpack_params(model)[1][0], out=ws("da1", *a1.shape))
+        dz1 *= _activate_grad(a1, model.arch.activation, ws("act", *a1.shape))
+        np.matmul(dz1.T, x, out=gw1)
+        dz1.sum(axis=0, out=gb1)
 
     if spec.l1_weight > 0.0:
-        grad += spec.l1_weight * np.sign(model.theta)
+        sign = np.sign(model.theta, out=ws("l1", 1, grad.size)[0])
+        sign *= spec.l1_weight
+        grad += sign
     return log_p, grad
 
 
@@ -512,6 +525,35 @@ def sgd_step(model: Model, grad: np.ndarray, opt: OptState):
     return model.with_theta(theta), OptState(opt.lr, opt.momentum, velocity)
 
 
+class _Kernel:
+    """One SGD run's state, updated in place: a copy of the incoming
+    theta (the caller's is never written), the velocity, the update
+    temporary, two gradient vectors and a ``_workspace`` for ``_grad``.
+    ``step`` is ``sgd_step`` in place, with its check and message and the
+    same IEEE operations in the same order.  ``model`` holds the current
+    theta and is handed over when the loop ends."""
+
+    def __init__(self, model: Model, lr: float, momentum: float):
+        self.model = model.with_theta(model.theta.copy())
+        self.lr, self.momentum = lr, momentum
+        self.velocity = np.zeros_like(self.model.theta)
+        self.tmp, *self.grads = (np.empty_like(self.velocity) for _ in range(3))
+        self.ws = _workspace()
+
+    def grad(self, x, y0, spec: LossSpec, target=None, slot: int = 0) -> np.ndarray:
+        """``_grad``'s gradient at the current theta, in gradient vector ``slot``."""
+        return _grad(self.model, x, y0, spec, target, self.ws, self.grads[slot])[1]
+
+    def step(self, grad: np.ndarray) -> None:
+        if not np.isfinite(grad).all():
+            raise ValueError("gradient contains non-finite entries")
+        self.velocity *= self.momentum
+        self.velocity += grad
+        np.multiply(self.velocity, self.lr, out=self.tmp)
+        theta = self.model.theta
+        theta -= self.tmp
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Settings for a seeded minibatch SGD pass over an index set."""
@@ -557,16 +599,13 @@ def train(model: Model, data, indices, cfg: TrainConfig,
         return model
     x, y0 = _loop_rows(model, data, loss, indices)
     rng = np.random.default_rng(cfg.seed)
-    opt = init_opt_state(model, cfg.lr, cfg.momentum)
+    kernel = _Kernel(model, cfg.lr, cfg.momentum)
     for _ in range(cfg.epochs):
-        order = rng.permutation(indices.size)
-        shuffled = indices[order]
+        shuffled = indices[rng.permutation(indices.size)]
         for start in range(0, shuffled.size, cfg.batch_size):
             batch = shuffled[start : start + cfg.batch_size]
-            yb = None if y0 is None else y0[batch]
-            _, grad = _grad(model, x[batch], yb, loss)
-            model, opt = sgd_step(model, grad, opt)
-    return model
+            kernel.step(kernel.grad(x[batch], None if y0 is None else y0[batch], loss))
+    return kernel.model
 
 
 def save_checkpoint(model: Model, path) -> None:

@@ -6,9 +6,9 @@ The writer prints floats as FLOAT_FMT, None as an empty cell and other
 values with str, and refuses a cell holding ',', '\\n' or '\\r' before
 it opens the file.  The reader splits lines at exactly those breaks and
 skips blank lines.  A line whose cell count differs from the first
-line's, or a cell that does not parse as its type (floats must be
-finite), raises ValueError naming the file and the 1-based line; a
-file that is not UTF-8 raises ValueError naming the file.
+line's, or a cell that does not parse as its type (numbers canonical,
+floats finite), raises ValueError naming the file and the 1-based
+line; a file that is not UTF-8 raises ValueError naming the file.
 
 The field rule ``_value`` decides from a type hint what a config value
 may be, built in Python or read from JSON; each config class applies it
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import re
 from contextlib import suppress
 from functools import cache
 from types import UnionType
@@ -31,6 +32,10 @@ _EXPECTED = {int: "an integer", float: "a finite number", bool: "true or false",
              str: "a string", tuple: "a list"}
 
 _hints = cache(get_type_hints)
+
+# an optional sign, ASCII digits, and for floats a fraction and exponent
+_CANONICAL = {int: re.compile(r"[+-]?[0-9]+"),
+              float: re.compile(r"[+-]?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?")}
 
 
 def _value(hint, value, name: str):
@@ -99,12 +104,15 @@ def read_rows(path):
 
 
 def parse_cell(hint, cell: str, where: str):
-    """``cell`` as the type ``hint``: int, finite float, str, or ``X |
-    None`` with an empty cell as None.  A bad cell raises ValueError
-    prefixed with ``where``, the file and line it came from."""
+    """``cell`` as the type ``hint``: a canonical int or finite float (no
+    spaces or digit underscores), str, or ``X | None`` with an empty cell
+    as None.  A bad cell raises ValueError prefixed with ``where``, the
+    file and line it came from."""
     if get_origin(hint) is UnionType:
         return None if cell == "" else parse_cell(get_args(hint)[0], cell, where)
     try:
+        if hint in _CANONICAL and not _CANONICAL[hint].fullmatch(cell):
+            raise ValueError
         value = hint(cell)
         if hint is float and not math.isfinite(value):
             raise ValueError

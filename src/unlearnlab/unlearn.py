@@ -30,13 +30,11 @@ from .models import (
     Model,
     TrainConfig,
     _check_soft_targets,
-    _grad,
+    _Kernel,
     _loop_rows,
-    init_opt_state,
-    # not called here: the loops use the core _grad, but perfbench's
+    # not called here: the loop uses the step kernel, but perfbench's
     # tracer and self-check expect the name in this namespace
     loss_and_grad,  # noqa: F401
-    sgd_step,
     train,
 )
 from .reference import RefDistConfig, build_refdist
@@ -236,7 +234,6 @@ def _paired_updates(model, splits, data, cfg, forget_loss, reference, build_plan
     labels of the forget and retain sets are checked once, before the
     plan is asked for.
     """
-    opt = init_opt_state(model, cfg.lr, cfg.momentum)
     forget = np.asarray(splits.forget, dtype=np.int64)
     if forget.size == 0:
         raise ValueError("forget index set is empty")
@@ -252,14 +249,17 @@ def _paired_updates(model, splits, data, cfg, forget_loss, reference, build_plan
     spec_f = LossSpec(forget_loss, soft_target=None if targets is None else targets[0])
     forget_batches = (shuffled[start : start + cfg.batch_size] for shuffled in plan.order
                       for start in range(0, shuffled.size, cfg.batch_size))
+    kernel = _Kernel(model, cfg.lr, cfg.momentum)
     for t, batch_f in enumerate(forget_batches):
         batch_r = plan.retain[t]
-        _, g_f = _grad(model, x[batch_f], y0[batch_f], spec_f,
-                       None if targets is None else targets[t])
-        _, g_r = _grad(model, x[batch_r], y0[batch_r], ce)
-        combined = (1.0 - cfg.w) * g_f + cfg.w * g_r
-        model, opt = sgd_step(model, combined, opt)
-    return model
+        g_f = kernel.grad(x[batch_f], y0[batch_f], spec_f,
+                          None if targets is None else targets[t])
+        g_r = kernel.grad(x[batch_r], y0[batch_r], ce, slot=1)
+        g_f *= 1.0 - cfg.w
+        g_r *= cfg.w
+        g_f += g_r
+        kernel.step(g_f)
+    return kernel.model
 
 
 def _run_slice(model: Model, splits: DataSplits, data: Dataset, cfgs,

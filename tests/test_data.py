@@ -303,6 +303,21 @@ def test_load_csv_errors_name_the_line(tmp_path):
         ul.load_csv(bad)
 
 
+@pytest.mark.parametrize("line, cell, expected", [
+    ("0.5,1_0", "1_0", "an integer"),
+    ("0.25, 2", " 2", "an integer"),
+    ("1_0.5,1", "1_0.5", "a finite number"),
+])
+def test_load_csv_refuses_a_non_canonical_number(tmp_path, line, cell, expected):
+    # int() and float() take digit underscores and padding spaces; a
+    # dataset cell may not
+    path = tmp_path / "data.csv"
+    path.write_text(f"0.0,1\n{line}\n")
+    with pytest.raises(DataError) as info:
+        ul.load_csv(path)
+    assert str(info.value) == f"{path} line 2: expected {expected}, got {cell!r}"
+
+
 def test_load_csv_names_a_file_that_is_not_utf8(tmp_path):
     bad = tmp_path / "latin.csv"
     bad.write_bytes(b"0.0,1.0,1\n0.0,\xff,2\n")

@@ -639,6 +639,19 @@ def test_sweep_rejects_non_w_methods(tiny_cfg, tiny_run):
         ul.sweep_tradeoff(tiny_cfg, "neggrad_plus", (0.5,), result=tiny_run)
 
 
+@pytest.mark.parametrize("w_grid, match", [
+    ((True,), "ws: expected a finite number, got True"),
+    (("0.5",), "ws: expected a finite number, got '0.5'"),
+    ((), r"ws must be non-empty and lie in \[0, 1\], got \(\)"),
+    ((0.5, 1.5), r"ws must be non-empty and lie in \[0, 1\]"),
+    ((math.nan,), r"ws must be non-empty and lie in \[0, 1\]"),
+    (0.5, "ws: expected a list, got 0.5"),
+])
+def test_a_sweep_checks_its_w_grid_with_the_field_rule(tiny_cfg, tiny_run, w_grid, match):
+    with pytest.raises(ValueError, match=match):
+        ul.sweep_tradeoff(tiny_cfg, "regun", w_grid, result=tiny_run)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_sweep_reports_its_first_failure_in_w_then_seed_order(
         tiny_cfg, tiny_run, monkeypatch, workers):
@@ -971,10 +984,10 @@ def test_a_pooled_run_computes_nothing_in_the_parent(tiny_cfg, monkeypatch):
     models = importlib.import_module("unlearnlab.models")
     real, parent, calls = models._forward_cached, os.getpid(), []
 
-    def counted(model, x):
+    def counted(model, x, ws=None):
         if os.getpid() == parent:
             calls.append(x.shape[0])
-        return real(model, x)
+        return real(model, x, ws)
 
     monkeypatch.setattr(models, "_forward_cached", counted)
     ul.run_experiment(tiny_cfg, workers=2)

@@ -526,6 +526,17 @@ def test_train_is_bitwise_the_public_loop(kind, d, k, h, batch_size, epochs,
     assert np.array_equal(_bits(got.theta), _bits(want.theta))
 
 
+@pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+def test_train_divergence_stops_at_the_step_check(toy):
+    model = ul.init_model(
+        ul.ArchitectureSpec("mlp1", 4, 3, hidden_dim=16, activation="relu"), seed=5)
+    before = model.theta.tobytes()
+    cfg = ul.TrainConfig(epochs=2, batch_size=1, lr=1e306, momentum=0.9, seed=0)
+    with pytest.raises(ValueError, match="gradient contains non-finite entries"):
+        ul.train(model, toy.pool, toy.train_idx, cfg)
+    assert model.theta.tobytes() == before
+
+
 def test_train_checks_every_row_before_the_first_step(toy):
     cfg = ul.TrainConfig(epochs=1, batch_size=16, lr=0.1, seed=0)
     bad_label = toy.pool_with_label_four(toy.train_idx[-1])

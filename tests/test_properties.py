@@ -23,6 +23,7 @@ import unlearnlab as ul
 from unlearnlab import AttackScores, LossSpec, UnlearnConfig
 from unlearnlab.harness import METRICS_HEADER, write_metrics_csv
 from unlearnlab.metrics import REPORT_FIELDS
+from unlearnlab.textio import FLOAT_FMT, parse_cell
 
 # Scores drawn from a handful of integers, so most draws hold ties
 # within and across the two groups.
@@ -380,6 +381,68 @@ def test_the_paired_methods_share_no_plan(toy):
         got = unlearned(toy.base, toy.base, toy.pool, toy.splits, cfg)
         want = public_paired_loop(toy.base, toy.pool, toy.splits, cfg, toy.base)
         assert np.array_equal(got.theta, want.theta), cfg.method
+
+
+# ---------------------------------------------------------------- step kernel
+
+
+def public_train_loop(model, data, indices, cfg, spec):
+    """``train`` written with public functions only: one loss_and_grad
+    and one sgd_step per batch."""
+    rng = np.random.default_rng(cfg.seed)
+    opt = ul.init_opt_state(model, cfg.lr, cfg.momentum)
+    for _ in range(cfg.epochs):
+        shuffled = indices[rng.permutation(indices.size)]
+        for start in range(0, shuffled.size, cfg.batch_size):
+            batch = shuffled[start : start + cfg.batch_size]
+            _, grad = ul.loss_and_grad(model, data.features[batch], data.labels[batch], spec)
+            model, opt = ul.sgd_step(model, grad, opt)
+    return model
+
+
+@settings(max_examples=80, deadline=None)
+@given(paired_runs(), st.sampled_from([0.0, 0.9]), st.sampled_from([0.0, 0.01]),
+       st.data())
+def test_the_step_kernel_is_the_public_loop_and_writes_no_input(run, momentum, l1, data):
+    # draw_model draws linear, tanh and relu models
+    model, reference, pool, splits, cfg = run
+    cfg = replace(cfg, momentum=momentum)
+    inputs = (model, reference)
+    before = [m.theta.tobytes() for m in inputs]
+
+    # a train batch size that leaves a short last batch where one exists
+    indices = np.concatenate([splits.forget, splits.retain])
+    n = indices.size
+    batch_size = data.draw(st.sampled_from([b for b in range(2, n) if n % b] or [1]))
+    tcfg = ul.TrainConfig(epochs=cfg.epochs, batch_size=batch_size, lr=cfg.lr,
+                          momentum=momentum, seed=cfg.seed)
+    spec = LossSpec("ce_hard", l1_weight=l1)
+    got = ul.train(model, pool, indices, tcfg, loss=spec)
+    want = public_train_loop(model, pool, indices, tcfg, spec)
+    assert np.array_equal(got.theta.view(np.uint64), want.theta.view(np.uint64))
+
+    for method in ("regun", "neggrad_plus"):
+        point = replace(cfg, method=method)
+        got = unlearned(model, reference, pool, splits, point)
+        want = public_paired_loop(model, pool, splits, point, reference)
+        assert np.array_equal(got.theta.view(np.uint64), want.theta.view(np.uint64)), method
+    assert [m.theta.tobytes() for m in inputs] == before
+
+    # every point of a slice hands over its own theta
+    points = [cfg, replace(cfg, lr=0.01), replace(cfg, w=1.0 - cfg.w)]
+    sliced = list(unlearn_module._run_slice(model, splits, pool, points, reference))
+    assert [m.theta.tobytes() for m in inputs] == before
+    thetas = [m.theta for m in (*sliced, *inputs)]
+    for i, a in enumerate(thetas[:len(sliced)]):
+        assert not any(np.shares_memory(a, b) for b in thetas[i + 1:])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False), st.integers())
+def test_every_number_the_lab_writes_parses_back(value, count):
+    back = parse_cell(float, FLOAT_FMT % value, "")
+    assert struct.pack("<d", back) == struct.pack("<d", value)
+    assert parse_cell(int, str(count), "") == count
 
 
 # -------------------------------------------------------------- config fields

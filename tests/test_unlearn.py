@@ -361,12 +361,14 @@ def test_regun_checks_its_planned_targets_before_the_first_step(
         drawn.append(q)
         return spoil(q) if len(drawn) == 3 else q
 
+    real_step = unlearn_module._Kernel.step
+
     def counted(*args):
         steps.append(1)
-        return ul.sgd_step(*args)
+        return real_step(*args)
 
     monkeypatch.setattr(unlearn_module, "build_refdist", spoilt)
-    monkeypatch.setattr(unlearn_module, "sgd_step", counted)
+    monkeypatch.setattr(unlearn_module._Kernel, "step", counted)
     cfg = cfg_for("regun", toy, epochs=2, batch_size=4, num_matched=8)
     with pytest.raises(ValueError, match=match):
         ul.regun(toy.base, toy.splits, toy.pool, cfg)
