@@ -916,7 +916,7 @@ AGGREGATED_HEADER = ("method", "w", "n_seeds") + tuple(
     f"{name}_{stat}" for name in REPORT_FIELDS for stat in ("mean", "std"))
 
 # The UnlearnConfig fields the manifest records for each selected method.
-_SELECTED_KEYS = ("lr", "w", "gamma", "epochs", "batch_size", "momentum")
+_SELECTED_KEYS = [f.name for f in fields(UnlearnConfig) if f.name not in ("method", "seed")]
 
 
 def write_metrics_csv(rows, path) -> None:

@@ -7,20 +7,21 @@ operate on one object.  Every loss used anywhere in the package is
 computed here together with its closed-form gradient; there is no
 autodiff and no approximation.
 
-All gradients come from one private core, ``_grad``.  It trusts its
-inputs, apart from the soft target's length: ``loss_and_grad``
-validates one batch and then calls it, while ``train`` and the
-unlearning loops validate their whole index set once on entry
-(``_loop_rows``) and then step one ``_Kernel``.  Log-probabilities
-are z - lse(z) per row, with lse(z) = log1p(s / m) + log(m) + c, where
-c is the row maximum, m the number of entries equal to c and s the sum
-of exp(z - c) over the other entries: scipy's ``logsumexp`` algorithm
-in plain numpy, bit for bit.
+Every loss is one row-weighted loss: row i of a batch carries a target
+t_i (a one-hot label or a soft distribution) and a signed weight w_i,
+the loss is sum_i w_i * CE(t_i, p_i) and its logit gradient is
+(p - t) * w.  The LossSpec kinds weigh each row 1/n (-1/n for
+neg_ce_hard); ``LossSpec.weights`` sets the weights row by row.
 
-Ownership: a Model's theta is never written.  A training loop copies
-the incoming theta once into a ``_Kernel``, updates that copy in place
-with the IEEE operations of the public ``loss_and_grad`` + ``sgd_step``
-loop, in the same order, and hands it over in the Model it returns.
+All gradients come from one private core, ``_grad``, whose p is
+``_softmax``, the max-shifted softmax of ``forward_probs`` and the
+harness; only loss values and log-probability outputs take the
+scipy-exact log-softmax of ``_log_softmax``.  ``loss_and_grad``
+validates one batch and then calls the core, while ``train`` and the
+unlearning loops validate their whole index set once (``_loop_rows``)
+and then step one ``_Kernel``: it updates a copy of the incoming theta
+in place (a Model's theta is never written) with the IEEE operations
+of the public ``loss_and_grad`` + ``sgd_step`` loop, in order.
 
 Inference forwards go through ``forward_logits``, which cuts a batch of
 more than 1,024 rows into the balanced contiguous blocks of
@@ -42,7 +43,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .textio import check_fields, parse_cell, read_rows, write_rows
+from .textio import _value, check_fields, parse_cell, read_rows, write_rows
 
 ARCH_KINDS = ("linear", "mlp1")
 ACTIVATIONS = ("tanh", "relu")
@@ -280,19 +281,17 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def forward_probs(model: Model, x: np.ndarray) -> np.ndarray:
-    """Row-wise softmax probabilities.
-
-    The row maximum is subtracted before exponentiation so no overflow
-    can occur; every row sums to 1 up to rounding.
-    """
-    logits = forward_logits(model, x)
-    return _softmax(logits)
+    """Row-wise softmax probabilities; every row sums to 1 up to rounding."""
+    return _softmax(forward_logits(model, x))
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+def _softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise exp(z - max) / sum, into ``out`` when given.  The row
+    maximum is subtracted before exponentiation, so nothing overflows."""
+    p = np.subtract(logits, logits.max(axis=1, keepdims=True), out=out)
+    np.exp(p, out=p)
+    p /= p.sum(axis=1, keepdims=True)
+    return p
 
 
 def kl_divergence(q: np.ndarray, p: np.ndarray) -> float:
@@ -327,24 +326,34 @@ class LossSpec:
     soft_target is the distribution used by ce_soft / kl_to_target and is
     shared by every row of the batch.  l1_weight > 0 adds
     l1_weight * sum(|theta|) with subgradient sign(theta), sign(0) = 0.
+
+    weights, when given, holds one signed weight per batch row in place
+    of the mean's 1/n (neg_ce_hard still negates it); a soft kind may
+    then give one soft_target row per weight, one-hot rows included.
     """
 
     kind: str = "ce_hard"
     soft_target: np.ndarray | None = None
     l1_weight: float = 0.0
+    weights: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in LOSS_KINDS:
+        if _value(str, self.kind, "kind") not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}")
+        object.__setattr__(self, "l1_weight", _value(float, self.l1_weight, "l1_weight"))
         if not (math.isfinite(self.l1_weight) and self.l1_weight >= 0.0):
             raise ValueError("l1_weight must be finite and >= 0")
+        w = None if self.weights is None else np.asarray(self.weights, dtype=np.float64)
+        if w is not None and (w.ndim != 1 or not np.isfinite(w).all()):
+            raise ValueError("weights must be a 1-d array of finite numbers")
+        object.__setattr__(self, "weights", w)
         if self.kind in ("ce_soft", "kl_to_target"):
             if self.soft_target is None:
                 raise ValueError(f"{self.kind} needs a soft_target")
             t = np.asarray(self.soft_target, dtype=np.float64)
-            if t.ndim != 1:
-                raise ValueError("soft_target must be a 1-d distribution")
-            _check_soft_targets(t[np.newaxis])
+            if t.ndim != 1 and (w is None or t.shape[:-1] != w.shape):
+                raise ValueError("soft_target must be a 1-d distribution or one per weight")
+            _check_soft_targets(np.atleast_2d(t))
             object.__setattr__(self, "soft_target", t)
 
 
@@ -372,41 +381,35 @@ def _check_labels(y, num_classes: int, n: int) -> np.ndarray:
     return y
 
 
-def _grad(model: Model, x: np.ndarray, y0, spec: LossSpec, target=None,
+def _grad(model: Model, x: np.ndarray, y0, weight, target=None, l1_weight=0.0,
           ws=None, out=None):
-    """The gradient core: log-probabilities and exact d loss / d theta.
-
-    Only the soft target's length is checked here, as it can change
-    every step.  ``x`` must be a float64 (batch, input_dim) array and
-    ``y0`` the zero-based int64 labels of the batch for the hard-label
-    kinds (ignored otherwise); see ``loss_and_grad`` for the checks
-    every caller must have made.  ``target``, when given, stands in for
-    the spec's soft target: a float64 distribution the caller checked
-    (a step plan checks all its rows once).  With p the softmax and t
-    the per-row target (one-hot label or the soft target), the logit
-    gradient is (p - t) / batch, negated for neg_ce_hard, and is
-    back-propagated through the layers.  The L1 subgradient
-    l1_weight * sign(theta) is added last.  The (batch, width)
-    intermediates go into the workspace ``ws`` and the gradient into
-    ``out``; either is allocated when None.
+    """The gradient core of the one row-weighted loss: (logits, exact
+    d loss / d theta).  ``x`` is a float64 (batch, input_dim) array that
+    passed the checks of ``loss_and_grad``.  The last ``y0.size`` rows
+    take the one-hot targets of the zero-based int64 labels ``y0`` (none
+    when None), the rows before them ``target``: one distribution for
+    all or one per row, checked by the caller except for its length (a
+    step plan checks all its rows once).  ``weight`` is one row weight
+    or an (n, 1) column.  The logit gradient (p - t) * weight, with p
+    the ``_softmax`` of the logits, is back-propagated, then
+    l1_weight * sign(theta) is added.  The (batch, width) intermediates
+    go into the workspace ``ws`` and the gradient into ``out``; either
+    is allocated when None.
     """
     ws = ws or _workspace()
     n, k = x.shape[0], model.arch.num_classes
     logits, a1 = _forward_cached(model, x, ws)
-    log_p = _log_softmax(logits)
-    # dz starts as the probabilities; subtracting the target in place
-    # gives the same bits as subtracting a dense target array
-    dz = np.exp(log_p)
-    if spec.kind in HARD_LABEL_KINDS:
-        dz[np.arange(n), y0] -= 1.0
-    else:
-        q = spec.soft_target if target is None else target
-        if q.shape[0] != k:
+    dz = _softmax(logits, out=ws("dz", n, k))
+    # subtracting the targets in place gives the same bits as
+    # subtracting a dense target array
+    m = n if y0 is None else n - y0.size
+    if target is not None:
+        if target.shape[-1] != k:
             raise ValueError("soft_target length must equal num_classes")
-        dz -= q
-    dz /= n
-    if spec.kind == "neg_ce_hard":
-        np.negative(dz, out=dz)
+        dz[:m] -= target
+    if y0 is not None:
+        dz[np.arange(m, n), y0] -= 1.0
+    dz *= weight
 
     grad = np.empty_like(model.theta) if out is None else out
     # each block is written through its (W, b) view into grad
@@ -420,11 +423,20 @@ def _grad(model: Model, x: np.ndarray, y0, spec: LossSpec, target=None,
         np.matmul(dz1.T, x, out=gw1)
         dz1.sum(axis=0, out=gb1)
 
-    if spec.l1_weight > 0.0:
+    if l1_weight > 0.0:
         sign = np.sign(model.theta, out=ws("l1", 1, grad.size)[0])
-        sign *= spec.l1_weight
+        sign *= l1_weight
         grad += sign
-    return log_p, grad
+    return logits, grad
+
+
+def _row_weight(spec: LossSpec, n: int):
+    """An n-row batch's row weight: 1/n, or the spec's weights as an
+    (n, 1) column; negated for neg_ce_hard."""
+    if spec.weights is not None and spec.weights.size != n:
+        raise ValueError(f"weights hold {spec.weights.size} entries for {n} rows")
+    w = 1.0 / n if spec.weights is None else spec.weights[:, np.newaxis]
+    return -w if spec.kind == "neg_ce_hard" else w
 
 
 def loss_and_grad(model: Model, x: np.ndarray, y, spec: LossSpec):
@@ -432,56 +444,40 @@ def loss_and_grad(model: Model, x: np.ndarray, y, spec: LossSpec):
 
     Checks the batch (2-d, non-empty, input_dim features; labels 1-d,
     one per row and in [1, num_classes] for the hard-label kinds; a
-    soft target of length num_classes), then takes the gradient from
-    the shared core ``_grad`` and adds the loss value.  Log-probabilities
-    are z - lse(z) with the scipy-exact log-sum-exp of ``_log_softmax``.
-    The training loops call the core directly after checking their
-    whole index set once, so both paths give the same bits.
-
-    Parameters
-    ----------
-    model : Model
-    x : array (batch, input_dim)
-    y : integer labels in [1, num_classes] for the hard-label losses,
-        ignored (may be None) for ce_soft / kl_to_target
-    spec : LossSpec
-
-    Returns
-    -------
-    (float, np.ndarray) with the gradient flat in theta layout.
+    soft target of length num_classes; one weight per row; ``y`` is
+    ignored and may be None for ce_soft / kl_to_target), then takes the
+    gradient, flat in theta layout, from the shared core ``_grad`` and
+    adds the loss value: the weighted sum of the rows' CE (KL for
+    kl_to_target) from the scipy-exact ``_log_softmax``.  The training
+    loops call the core directly after checking their whole index set
+    once, so both paths give the same bits.
     """
     x = _check_inputs(model, x)
     n = x.shape[0]
     hard = spec.kind in HARD_LABEL_KINDS
     y0 = _check_labels(y, model.arch.num_classes, n) - 1 if hard else None
-    log_p, grad = _grad(model, x, y0, spec)
-
+    q, weight = None if hard else spec.soft_target, _row_weight(spec, n)
+    logits, grad = _grad(model, x, y0, weight, q, spec.l1_weight)
+    log_p = _log_softmax(logits)
     if hard:
-        loss = -float(np.mean(log_p[np.arange(n), y0]))
+        rows = -log_p[np.arange(n), y0]
     else:
-        q = spec.soft_target
-        loss = -float(np.mean(log_p @ q))
+        rows = -(log_p * q).sum(axis=-1)
         if spec.kind == "kl_to_target":
             # KL(q||p) = CE(q,p) - H(q); the entropy term is constant in
             # theta so the gradient is identical to ce_soft.
-            pos = q > 0.0
-            loss += float(np.sum(q[pos] * np.log(q[pos])))
-    if spec.kind == "neg_ce_hard":
-        loss = -loss
+            rows += (q * np.log(q, out=np.zeros_like(q), where=q > 0.0)).sum(axis=-1)
+    loss = float(np.sum(rows[:, np.newaxis] * weight))
     if spec.l1_weight > 0.0:
         loss += spec.l1_weight * float(np.sum(np.abs(model.theta)))
     return loss, grad
 
 
 def _loop_rows(model: Model, data, spec: LossSpec, *index_sets):
-    """Check a training loop's rows once; returns (features, y0).
-
-    Applies to every row of the given index sets what ``loss_and_grad``
-    checks per batch: the feature width, and for the hard-label kinds
-    labels in [1, num_classes].  ``y0`` holds the zero-based labels of
-    the whole dataset (None for the soft-target kinds), so a loop
-    indexes both arrays with its batch and calls ``_grad`` directly.
-    """
+    """Check once, for every row of the index sets, what ``loss_and_grad``
+    checks per batch (feature width; labels for the hard-label kinds).
+    Returns the features and the zero-based labels of the whole dataset
+    (None for the soft-target kinds), which a loop indexes by batch."""
     x = _check_inputs(model, data.features)
     if spec.kind not in HARD_LABEL_KINDS:
         return x, None
@@ -528,23 +524,21 @@ def sgd_step(model: Model, grad: np.ndarray, opt: OptState):
 class _Kernel:
     """One SGD run's state, updated in place: a copy of the incoming
     theta (the caller's is never written), the velocity, the update
-    temporary, two gradient vectors and a ``_workspace`` for ``_grad``.
-    ``step`` is ``sgd_step`` in place, with its check and message and the
-    same IEEE operations in the same order.  ``model`` holds the current
-    theta and is handed over when the loop ends."""
+    temporary, the gradient and a ``_workspace`` for ``_grad``.  ``step``
+    is ``_grad`` then ``sgd_step`` in place, with its check and message
+    and the same IEEE operations in the same order.  ``model`` holds the
+    current theta and is handed over when the loop ends."""
 
     def __init__(self, model: Model, lr: float, momentum: float):
         self.model = model.with_theta(model.theta.copy())
         self.lr, self.momentum = lr, momentum
         self.velocity = np.zeros_like(self.model.theta)
-        self.tmp, *self.grads = (np.empty_like(self.velocity) for _ in range(3))
+        self.tmp, self.grad = (np.empty_like(self.velocity) for _ in range(2))
         self.ws = _workspace()
 
-    def grad(self, x, y0, spec: LossSpec, target=None, slot: int = 0) -> np.ndarray:
-        """``_grad``'s gradient at the current theta, in gradient vector ``slot``."""
-        return _grad(self.model, x, y0, spec, target, self.ws, self.grads[slot])[1]
-
-    def step(self, grad: np.ndarray) -> None:
+    def step(self, x, y0, weight, target=None, l1_weight: float = 0.0) -> None:
+        """One update on the weighted loss of ``_grad`` (same arguments)."""
+        grad = _grad(self.model, x, y0, weight, target, l1_weight, self.ws, self.grad)[1]
         if not np.isfinite(grad).all():
             raise ValueError("gradient contains non-finite entries")
         self.velocity *= self.momentum
@@ -598,13 +592,15 @@ def train(model: Model, data, indices, cfg: TrainConfig,
     if cfg.epochs == 0:
         return model
     x, y0 = _loop_rows(model, data, loss, indices)
+    q = loss.soft_target if y0 is None else None
     rng = np.random.default_rng(cfg.seed)
     kernel = _Kernel(model, cfg.lr, cfg.momentum)
     for _ in range(cfg.epochs):
         shuffled = indices[rng.permutation(indices.size)]
         for start in range(0, shuffled.size, cfg.batch_size):
             batch = shuffled[start : start + cfg.batch_size]
-            kernel.step(kernel.grad(x[batch], None if y0 is None else y0[batch], loss))
+            kernel.step(x[batch], None if y0 is None else y0[batch],
+                        _row_weight(loss, batch.size), q, loss.l1_weight)
     return kernel.model
 
 

@@ -229,36 +229,39 @@ def _paired_updates(model, splits, data, cfg, forget_loss, reference, build_plan
     "kl_to_target", the frozen ``reference`` model, but never on lr, w,
     momentum or the model being edited.  The plan comes from the caller's
     ``build_plan`` (default _build_plan, called with its arguments), so a
-    slice can build it once for all its points (see _run_slice).  The
-    combined gradient is (1 - w) * forget + w * retain.  Features and
-    labels of the forget and retain sets are checked once, before the
-    plan is asked for.
+    slice can build it once for all its points (see _run_slice).  A step
+    is one gradient of the weighted loss on its n_f forget rows stacked
+    over its n_r retain rows, weighing (1 - w) / n_f (negated for
+    "neg_ce_hard") and w / n_r.  Features and labels are checked once,
+    before the plan is asked for.
     """
     forget = np.asarray(splits.forget, dtype=np.int64)
     if forget.size == 0:
         raise ValueError("forget index set is empty")
     if cfg.epochs == 0:
         return model
-    ce = LossSpec("ce_hard")
     retain = np.asarray(splits.retain, dtype=np.int64)
-    x, y0 = _loop_rows(model, data, ce, forget, retain)
+    x, y0 = _loop_rows(model, data, LossSpec("ce_hard"), forget, retain)
     plan = (build_plan or _build_plan)(data, splits, cfg, forget_loss, reference)
-    targets = plan.targets
-    # one spec for every step; a planned target row replaces its soft
-    # target, checked when the plan was built
-    spec_f = LossSpec(forget_loss, soft_target=None if targets is None else targets[0])
+    targets, n_r = plan.targets, plan.retain.shape[1]
+    sign = -1.0 if forget_loss == "neg_ce_hard" else 1.0
+    weights = {}  # the (n_f + n_r, 1) row weights by forget batch size
     forget_batches = (shuffled[start : start + cfg.batch_size] for shuffled in plan.order
                       for start in range(0, shuffled.size, cfg.batch_size))
     kernel = _Kernel(model, cfg.lr, cfg.momentum)
     for t, batch_f in enumerate(forget_batches):
+        n_f = batch_f.size
+        if n_f not in weights:
+            w_f = sign * (1.0 - cfg.w) / n_f
+            weights[n_f] = np.repeat([w_f, cfg.w / n_r], [n_f, n_r])[:, np.newaxis]
         batch_r = plan.retain[t]
-        g_f = kernel.grad(x[batch_f], y0[batch_f], spec_f,
-                          None if targets is None else targets[t])
-        g_r = kernel.grad(x[batch_r], y0[batch_r], ce, slot=1)
-        g_f *= 1.0 - cfg.w
-        g_r *= cfg.w
-        g_f += g_r
-        kernel.step(g_f)
+        rows = np.concatenate((batch_f, batch_r))
+        # a planned target row stands for every forget row of its step,
+        # checked when the plan was built
+        if targets is None:
+            kernel.step(x[rows], y0[rows], weights[n_f])
+        else:
+            kernel.step(x[rows], y0[batch_r], weights[n_f], targets[t])
     return kernel.model
 
 

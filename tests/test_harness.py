@@ -752,7 +752,8 @@ def test_write_report_files_and_manifest(tmp_path, tiny_cfg, tiny_run):
     assert set(manifest["selected"]) == {"regun", "finetune"}
     assert manifest["failures"] == []
     sel = manifest["selected"]["regun"]
-    assert set(sel) == {"lr", "w", "gamma", "epochs", "batch_size", "momentum"}
+    assert set(sel) == {"lr", "w", "gamma", "epochs", "batch_size", "retain_batch_size",
+                        "momentum", "num_matched"}
 
     agg_lines = (out / "aggregated.csv").read_text().splitlines()
     assert agg_lines[0].startswith("method,w,n_seeds,retain_acc_mean")

@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -162,12 +162,12 @@ def test_forward_memory_does_not_grow_with_the_batch():
 # Recorded with numpy 2.4.6's bundled OpenBLAS on x86-64; another BLAS
 # build may round differently.
 GOLDEN_DIGESTS = {
-    "relu": ("a04b3b062607661b60fc18728d5310e15d44457a0aa8536a05c8031e9f6ac9dc",
-             "c2736b1b3656649324af16b2b176ded8772829b20a6a69a3982e9ceebdc65d1b"),
-    "tanh": ("add9e4bd4c2be428f31914d07d2e994ae8c4cfa7916d54f3b36c40d48a5844bf",
-             "3d3d4b9fcb3d4e24d884032629e9e73dd43b7f3b7dcb614146b5ce47a1a9104a"),
-    "linear": ("ad5a87b19422046dff6672e31037821ea6e69ce60ef88be67c19ce007a31b00f",
-               "910d352d40328f9d5f13de6c94095e65740c1addcbdcb9bee11e35fdd1e600f9"),
+    "relu": ("9e1f45f6d8576d1965685d2c5c406638b0bc027ffc9c5e7feca3be1c51b4cb9b",
+             "366170c958baf907561720921a7f749baaaeb45159dc9c52d5382ffed8313478"),
+    "tanh": ("7e0766f258e8569a22e628d1891e9284152322962baf73eb11d5a61bab8f7e78",
+             "66bb19f06f7db21b68fe08bddf5d0f354f439b52c52a507b457cc732d1e928c5"),
+    "linear": ("7b1228bc0baa72b42cf21fd0f0d4ec53d62ad118158a7b4446878ef0c1655af5",
+               "bdd8a7f9635249c5cc5514779809f1527247d9da96de637a15a2d293715f3912"),
 }
 
 
@@ -297,6 +297,12 @@ def test_gradients_match_finite_differences():
         fd = fd_gradient(loss_at, model.theta)
         rel = np.abs(grad - fd) / np.maximum(np.maximum(np.abs(grad), np.abs(fd)), 1e-8)
         assert rel.max() < 1e-6, (kind, act, loss_kind, gamma, rel.max())
+
+
+@pytest.mark.parametrize("bad", [True, "0.5"])
+def test_loss_spec_checks_l1_weight_with_the_field_rule(bad):
+    with pytest.raises(ValueError, match=r"l1_weight: expected a finite number, got "):
+        ul.LossSpec("ce_hard", l1_weight=bad)
 
 
 def test_l1_subgradient_is_zero_at_zero():
@@ -475,6 +481,91 @@ def test_log_softmax_non_finite_rows_match_scipy():
         want = logits - special.logsumexp(logits, axis=1, keepdims=True)
         got = _log_softmax(logits)
     assert np.array_equal(got, want, equal_nan=True)
+
+
+def bias_model(logits_row):
+    """A linear model on one input whose logits are ``logits_row`` for
+    the input 0: zero weights, the row as the bias."""
+    k = logits_row.size
+    return ul.Model(ul.ArchitectureSpec("linear", 1, k), np.concatenate([np.zeros(k), logits_row]))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(logit_matrices())
+def test_the_gradient_takes_its_probabilities_from_softmax(logits):
+    # with no target row and weight 1, a one-row batch's bias gradient is
+    # p itself: the same bits as _softmax, the one probability path
+    for row in logits:
+        with np.errstate(all="ignore"):
+            _, grad = models._grad(bias_model(row), np.zeros((1, 1)), None, 1.0)
+            want = models._softmax(row[np.newaxis])[0]
+        assert np.array_equal(_bits(grad[row.size:]), _bits(want))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(logit_matrices(), st.data())
+def test_loss_values_take_the_scipy_exact_log_sum_exp(logits, data):
+    special = pytest.importorskip("scipy.special")
+    for row in logits:
+        k = row.size
+        with np.errstate(all="ignore"):
+            log_p = row - special.logsumexp(row)
+        assume(np.isfinite(log_p).all())
+        y = data.draw(st.integers(1, k))
+        q = np.full(k, 1.0 / k)
+        model, x = bias_model(row), np.zeros((1, 1))
+        with np.errstate(all="ignore"):
+            hard, _ = ul.loss_and_grad(model, x, [y], ul.LossSpec("ce_hard"))
+            soft, _ = ul.loss_and_grad(model, x, None, ul.LossSpec("ce_soft", soft_target=q))
+        assert hard == -log_p[y - 1]
+        assert soft == -(log_p * q).sum()
+
+
+def mixed_rows(rng, kind, k, n, l1_weight):
+    """A weighted LossSpec over one first row of ``kind`` and n - 1
+    ce_hard rows, the labels, and the rows' one-row specs of the
+    standard kinds with their (positive) weights."""
+    labels = rng.integers(1, k + 1, size=n)
+    targets = np.eye(k)[labels - 1]
+    weights = rng.uniform(0.1, 1.0, size=n)
+    signed = weights.copy()
+    if kind == "kl_to_target":
+        targets[0] = rng.dirichlet(np.ones(k))
+        parts = [ul.LossSpec("kl_to_target", soft_target=targets[0])]
+    else:
+        signed[0] = -signed[0]  # ascent on the first row
+        parts = [ul.LossSpec("neg_ce_hard")]
+    parts += [ul.LossSpec("ce_hard")] * (n - 1)
+    spec = ul.LossSpec("kl_to_target" if kind == "kl_to_target" else "ce_soft",
+                       soft_target=targets, weights=signed, l1_weight=l1_weight)
+    return spec, labels, parts, weights
+
+
+@pytest.mark.parametrize("kind", ["kl_to_target", "neg_ce_hard"])
+@pytest.mark.parametrize("l1_weight", [0.0, 0.01])
+def test_the_weighted_loss_on_mixed_rows_matches_finite_differences(kind, l1_weight):
+    rng = np.random.default_rng(12)
+    for model_kind, act in (("linear", "tanh"), ("mlp1", "tanh"), ("mlp1", "relu")):
+        model = random_model(rng, kind=model_kind, d=3, k=3, h=4, activation=act)
+        x = rng.normal(size=(4, 3))
+        spec, labels, parts, weights = mixed_rows(rng, kind, 3, 4, l1_weight)
+
+        def loss_at(theta):
+            return ul.loss_and_grad(model.with_theta(theta), x, None, spec)[0]
+
+        # the loss is the weighted sum of the rows' losses of their kinds
+        row_losses = [ul.loss_and_grad(model, x[i : i + 1], labels[i : i + 1], part)[0]
+                      for i, part in enumerate(parts)]
+        l1 = l1_weight * np.abs(model.theta).sum()
+        assert abs(loss_at(model.theta) - (np.dot(weights, row_losses) + l1)) < 1e-12
+        # explicit weights keep neg_ce_hard an ascent
+        pos = ul.loss_and_grad(model, x, labels, ul.LossSpec("ce_hard", weights=weights))
+        neg = ul.loss_and_grad(model, x, labels, ul.LossSpec("neg_ce_hard", weights=weights))
+        assert neg[0] == -pos[0] and np.array_equal(neg[1], -pos[1])
+        _, grad = ul.loss_and_grad(model, x, None, spec)
+        fd = fd_gradient(loss_at, model.theta)
+        rel = np.abs(grad - fd) / np.maximum(np.maximum(np.abs(grad), np.abs(fd)), 1e-8)
+        assert rel.max() < 1e-6, (model_kind, act, rel.max())
 
 
 def test_import_leaves_scipy_unloaded():

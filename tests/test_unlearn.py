@@ -51,6 +51,37 @@ def paired_step_oracle(model, toy, cfg, forget_loss_builder):
     return model
 
 
+def fused_step_oracle(model, toy, cfg, forget_loss_builder):
+    """The same loop with one public gradient per step, as the methods
+    take it: the forget rows stacked over the retain rows in one LossSpec
+    of per-row targets and weights, (1 - w) / n_f on forget rows
+    (negated for neg_ce_hard) and w / n_r on retain rows."""
+    rng = np.random.default_rng(cfg.seed)
+    opt = ul.init_opt_state(model, cfg.lr, cfg.momentum)
+    retain_bs = cfg.retain_batch_size or cfg.batch_size
+    forget = toy.splits.forget
+    one_hot = np.eye(toy.pool.num_classes)
+    for _ in range(cfg.epochs):
+        shuffled = forget[rng.permutation(forget.size)]
+        for start in range(0, shuffled.size, cfg.batch_size):
+            batch_f = shuffled[start : start + cfg.batch_size]
+            batch_r = ul.sample_minibatch(toy.splits.retain, retain_bs, rng)
+            fx, fy, fspec = forget_loss_builder(batch_f, rng)
+            w_f = (1.0 - cfg.w) / batch_f.size
+            if fspec.kind == "neg_ce_hard":
+                t_f, w_f = one_hot[fy - 1], -w_f
+            else:
+                t_f = np.tile(fspec.soft_target, (batch_f.size, 1))
+            spec = LossSpec(
+                "kl_to_target",
+                soft_target=np.vstack([t_f, one_hot[toy.pool.labels[batch_r] - 1]]),
+                weights=np.repeat([w_f, cfg.w / batch_r.size], [batch_f.size, batch_r.size]))
+            _, grad = ul.loss_and_grad(
+                model, np.vstack([fx, toy.pool.features[batch_r]]), None, spec)
+            model, opt = ul.sgd_step(model, grad, opt)
+    return model
+
+
 def regun_loss_builder(toy, cfg, reference):
     def build(batch_f, rng):
         q = ul.build_refdist(toy.pool.labels[batch_f], toy.pool,
@@ -146,7 +177,7 @@ def test_regun_matches_paired_oracle_exactly(toy):
                   momentum=0.9, num_matched=8)
     got = ul.regun(toy.base, toy.splits, toy.pool, cfg)
     builder = regun_loss_builder(toy, cfg, toy.base)
-    want = paired_step_oracle(toy.base, toy, cfg, builder)
+    want = fused_step_oracle(toy.base, toy, cfg, builder)
     assert np.array_equal(got.theta, want.theta)
 
 
@@ -154,8 +185,21 @@ def test_neggrad_plus_matches_paired_oracle_exactly(toy):
     cfg = cfg_for("neggrad_plus", toy, w=0.5, epochs=3, batch_size=4,
                   momentum=0.9, retain_batch_size=12)
     got = ul.neggrad_plus(toy.base, toy.splits, toy.pool, cfg)
-    want = paired_step_oracle(toy.base, toy, cfg, neg_loss_builder(toy))
+    want = fused_step_oracle(toy.base, toy, cfg, neg_loss_builder(toy))
     assert np.array_equal(got.theta, want.theta)
+
+
+# One fused gradient rounds differently from the two-pass combine
+# (1 - w) * g_f + w * g_r; on these runs theta stays within 1e-12.
+@pytest.mark.parametrize("method", ["regun", "neggrad_plus"])
+def test_the_paired_methods_stay_within_rounding_of_the_two_pass_loop(method, toy):
+    cfg = cfg_for(method, toy, w=0.4, epochs=3, batch_size=4, momentum=0.9,
+                  retain_batch_size=12)
+    builder = (regun_loss_builder(toy, cfg, toy.base) if method == "regun"
+               else neg_loss_builder(toy))
+    got = ul.unlearn(toy.base, toy.splits, toy.pool, cfg)
+    want = paired_step_oracle(toy.base, toy, cfg, builder)
+    np.testing.assert_allclose(got.theta, want.theta, rtol=0.0, atol=1e-12)
 
 
 def test_regun_first_order_loss_drop(toy):
