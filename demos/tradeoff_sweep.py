@@ -43,7 +43,8 @@ def main():
     curves = {}
     for method in ("regun", "neggrad_plus"):
         print(f"sweeping {method} over w = {[f'{w:g}' for w in ws]}")
-        curves[method] = ul.sweep_tradeoff(cfg, method, ws, result=result)
+        curves[method] = ul.sweep_tradeoff(cfg, method, ws, result=result,
+                                           workers=args.workers)
 
     for method, points in curves.items():
         print(f"\n{method}: test accuracy vs w")

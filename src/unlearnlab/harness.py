@@ -129,6 +129,9 @@ class MethodGrid:
             raise ValueError("grid ws must lie in [0, 1]")
         if not all(math.isfinite(g) and g >= 0 for g in self.gammas):
             raise ValueError("grid gammas must be finite and >= 0")
+        for axis in ("lrs", "ws", "gammas"):
+            if len(set(getattr(self, axis))) != len(getattr(self, axis)):
+                raise ValueError(f"grid {axis} must be distinct")
         for name in ("batch_size", "retain_batch_size", "num_matched"):
             if getattr(self, name) is not None and getattr(self, name) < 1:
                 raise ValueError(f"grid {name} must be >= 1")

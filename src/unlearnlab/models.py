@@ -18,10 +18,11 @@ All gradients come from one private core, ``_grad``, whose p is
 harness; only loss values and log-probability outputs take the
 scipy-exact log-softmax of ``_log_softmax``.  ``loss_and_grad``
 validates one batch and then calls the core, while ``train`` and the
-unlearning loops validate their whole index set once (``_loop_rows``)
-and then step one ``_Kernel``: it updates a copy of the incoming theta
-in place (a Model's theta is never written) with the IEEE operations
-of the public ``loss_and_grad`` + ``sgd_step`` loop, in order.
+unlearning loop validate their whole index set once (``_loop_rows``),
+walk the epoch batches of ``_batches`` and step one ``_Kernel``: it
+updates a copy of the incoming theta in place (a Model's theta is
+never written) with the IEEE operations of the public
+``loss_and_grad`` + ``sgd_step`` loop, in order.
 
 Inference forwards go through ``forward_logits``, which cuts a batch of
 more than 1,024 rows into the balanced contiguous blocks of
@@ -312,7 +313,7 @@ def kl_divergence(q: np.ndarray, p: np.ndarray) -> float:
     return max(val, 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LossSpec:
     """Which loss to differentiate.
 
@@ -359,9 +360,9 @@ class LossSpec:
 
 def _check_soft_targets(rows: np.ndarray) -> None:
     """Raise LossSpec's ValueError for the first row of the 2-d array
-    ``rows`` that is no distribution: one with a negative entry, or a
-    sum more than 1e-8 away from 1."""
-    negative = np.any(rows < 0.0, axis=1)
+    ``rows`` that is no distribution: one with a negative or NaN entry,
+    or a sum more than 1e-8 away from 1 (an infinite entry's)."""
+    negative = ~np.all(rows >= 0.0, axis=1)
     bad = np.flatnonzero(negative | (np.abs(rows.sum(axis=1) - 1.0) > 1e-8))
     if bad.size:
         raise ValueError("soft_target must be a 1-d distribution" if negative[bad[0]]
@@ -570,19 +571,29 @@ class TrainConfig:
             raise ValueError("momentum must lie in [0, 1)")
 
 
+def _batches(rows: np.ndarray, epochs: int, batch_size: int, rng):
+    """The SGD schedule of every training loop: per epoch, one ``rng``
+    permutation of ``rows`` cut into consecutive batches of ``batch_size``
+    (the last may be short), drawn when the epoch's first batch is asked
+    for, so a step plan's own draws may come between batches."""
+    for _ in range(epochs):
+        shuffled = rows[rng.permutation(rows.size)]
+        for start in range(0, rows.size, batch_size):
+            yield shuffled[start : start + batch_size]
+
+
 def train(model: Model, data, indices, cfg: TrainConfig,
           loss: LossSpec | None = None) -> Model:
     """Minibatch SGD over the given rows of ``data``.
 
-    Each epoch draws one seeded permutation of ``indices`` and walks it
-    in consecutive batches of ``batch_size`` (last batch may be short).
-    The default loss is hard-label cross-entropy; other LossSpec kinds
-    reuse the identical schedule, which the unlearning methods rely on.
-    epochs == 0 returns the model unchanged.  Identical arguments always
-    produce an identical parameter vector, the same one a loop of
-    ``loss_and_grad`` and ``sgd_step`` over the same batches gives: the
-    features and labels of ``indices`` are checked once before the
-    first step instead of once per batch.
+    The batches are ``_batches`` of ``indices`` seeded with cfg.seed,
+    the schedule the unlearning methods' step plans walk as well.  The
+    default loss is hard-label cross-entropy.  epochs == 0 returns the
+    model unchanged.  Identical arguments always produce an identical
+    parameter vector, the same one a loop of ``loss_and_grad`` and
+    ``sgd_step`` over the same batches gives: the features and labels
+    of ``indices`` are checked once before the first step instead of
+    once per batch.
     """
     if loss is None:
         loss = LossSpec("ce_hard")
@@ -593,14 +604,11 @@ def train(model: Model, data, indices, cfg: TrainConfig,
         return model
     x, y0 = _loop_rows(model, data, loss, indices)
     q = loss.soft_target if y0 is None else None
-    rng = np.random.default_rng(cfg.seed)
     kernel = _Kernel(model, cfg.lr, cfg.momentum)
-    for _ in range(cfg.epochs):
-        shuffled = indices[rng.permutation(indices.size)]
-        for start in range(0, shuffled.size, cfg.batch_size):
-            batch = shuffled[start : start + cfg.batch_size]
-            kernel.step(x[batch], None if y0 is None else y0[batch],
-                        _row_weight(loss, batch.size), q, loss.l1_weight)
+    for batch in _batches(indices, cfg.epochs, cfg.batch_size,
+                          np.random.default_rng(cfg.seed)):
+        kernel.step(x[batch], None if y0 is None else y0[batch],
+                    _row_weight(loss, batch.size), q, loss.l1_weight)
     return kernel.model
 
 

@@ -29,13 +29,13 @@ from .models import (
     LossSpec,
     Model,
     TrainConfig,
+    _batches,
     _check_soft_targets,
     _Kernel,
     _loop_rows,
     # not called here: the loop uses the step kernel, but perfbench's
     # tracer and self-check expect the name in this namespace
     loss_and_grad,  # noqa: F401
-    train,
 )
 from .reference import RefDistConfig, build_refdist
 from .textio import check_fields
@@ -50,10 +50,10 @@ NEGGRAD_EPOCHS = 2
 class MethodSpec:
     """What one unlearning method is; the methods differ only in these.
 
-    rows is what each step differentiates: "retain" or "forget" rows
-    through ``train``, or "paired" forget batches each with a fresh
-    retain batch, mixed by w.  forget_loss is the forget rows' LossSpec
-    kind: None (no forget term), "neg_ce_hard" (ascent) or
+    rows names the split whose epochs the steps walk, "retain" or
+    "forget"; a method whose axes list w pairs each forget batch with a
+    fresh retain batch, mixed by w.  forget_loss is the forget rows'
+    LossSpec kind: None (no forget term), "neg_ce_hard" (ascent) or
     "kl_to_target" (toward the matched reference distribution).  epochs,
     when set, replaces a non-zero budget.  axes names the UnlearnConfig
     fields besides lr that the method reads and a grid sweeps.
@@ -66,9 +66,9 @@ class MethodSpec:
 
 
 METHOD_TABLE = {
-    "regun": MethodSpec("paired", "kl_to_target", axes=("w",)),
+    "regun": MethodSpec("forget", "kl_to_target", axes=("w",)),
     "neggrad": MethodSpec("forget", "neg_ce_hard", epochs=NEGGRAD_EPOCHS),
-    "neggrad_plus": MethodSpec("paired", "neg_ce_hard", axes=("w",)),
+    "neggrad_plus": MethodSpec("forget", "neg_ce_hard", axes=("w",)),
     "finetune": MethodSpec("retain"),
     "l1_sparse": MethodSpec("retain", axes=("gamma",)),
 }
@@ -113,9 +113,9 @@ class UnlearnConfig:
         if self.num_matched is not None and self.num_matched < 1:
             raise ValueError("num_matched must be >= 1")
 
-    def train_config(self, epochs: int | None = None) -> TrainConfig:
+    def train_config(self) -> TrainConfig:
         return TrainConfig(
-            epochs=self.epochs if epochs is None else epochs,
+            epochs=self.epochs,
             batch_size=self.batch_size,
             lr=self.lr,
             momentum=self.momentum,
@@ -125,18 +125,50 @@ class UnlearnConfig:
 
 def _run(name: str, model: Model, splits: DataSplits, data: Dataset,
          cfg: UnlearnConfig, reference: Model | None = None, build_plan=None) -> Model:
-    """Run the method METHOD_TABLE[name] describes."""
+    """Run the method METHOD_TABLE[name] describes: replay the step plan
+    of ``build_plan`` (default _build_plan; a slice passes one that
+    builds it once, see _run_slice) on one ``_Kernel``.
+
+    A plain step weighs its n rows 1/n, as ``train`` does; a paired step
+    stacks its n_f forget rows over its n_r retain rows, weighing
+    (1 - w) / n_f and w / n_r.  Forget weights are negated for
+    "neg_ce_hard", and gamma is the L1 weight when the record lists it.
+    The features and labels of every row a step reads are checked once,
+    after the empty-set and zero-budget cases and before the plan.
+    """
     method = METHOD_TABLE[name]
-    if method.rows == "paired":
-        return _paired_updates(model, splits, data, cfg, method.forget_loss,
-                               model if reference is None else reference, build_plan)
-    epochs = cfg.epochs
-    if epochs and method.epochs is not None:
-        epochs = method.epochs
+    rows = np.asarray(getattr(splits, method.rows), dtype=np.int64)
+    if rows.size == 0:
+        raise ValueError(f"{method.rows} index set is empty")
+    if cfg.epochs == 0:
+        return model
+    paired = [np.asarray(splits.retain, dtype=np.int64)] if "w" in method.axes else []
+    x, y0 = _loop_rows(model, data, LossSpec("ce_hard"), rows, *paired)
+    plan = (build_plan or _build_plan)(data, splits, cfg, method,
+                                       model if reference is None else reference)
+    sign = -1.0 if method.forget_loss == "neg_ce_hard" else 1.0
     l1 = cfg.gamma if "gamma" in method.axes else 0.0
-    loss = LossSpec(method.forget_loss or "ce_hard", l1_weight=l1)
-    return train(model, data, getattr(splits, method.rows),
-                 cfg.train_config(epochs), loss=loss)
+    weights = {}  # a paired step's (n_f + n_r, 1) row weights by forget batch size
+    kernel = _Kernel(model, cfg.lr, cfg.momentum)
+    start = 0
+    for t, stop in enumerate(plan.stops):
+        batch, start = plan.order[start:stop], stop
+        n = batch.size
+        if plan.retain is None:
+            kernel.step(x[batch], y0[batch], sign / n, None, l1)
+            continue
+        batch_r = plan.retain[t]
+        if n not in weights:
+            w_f, n_r = sign * (1.0 - cfg.w) / n, batch_r.size
+            weights[n] = np.repeat([w_f, cfg.w / n_r], [n, n_r])[:, np.newaxis]
+        both = np.concatenate((batch, batch_r))
+        # a planned target row stands for every forget row of its step,
+        # checked when the plan was built
+        if plan.targets is None:
+            kernel.step(x[both], y0[both], weights[n], None, l1)
+        else:
+            kernel.step(x[both], y0[batch_r], weights[n], plan.targets[t], l1)
+    return kernel.model
 
 
 def finetune(model: Model, splits: DataSplits, data: Dataset,
@@ -167,102 +199,58 @@ def neggrad(model: Model, splits: DataSplits, data: Dataset,
 
 @dataclass(frozen=True, eq=False)
 class _StepPlan:
-    """Everything a paired run draws, drawn ahead of its first step.
-
-    ``order[e]`` is epoch e's shuffle of the forget rows, cut into
-    batches in order; step t, counted over all epochs, takes the retain
-    rows ``retain[t]`` and, for the "kl_to_target" forget loss, the
-    reference distribution ``targets[t]`` (None otherwise).  The arrays
-    are read-only because every point of a slice replays the same plan
-    (see _run_slice).
+    """Everything a method's run draws, ahead of its first step: step t,
+    counted over all epochs, takes the walked rows ``order[stops[t - 1]:
+    stops[t]]`` (from 0 at t = 0), one batch of ``_batches``, and when
+    paired the retain rows ``retain[t]`` and, for "kl_to_target", the
+    reference distribution ``targets[t]`` (each None otherwise).  The
+    arrays are read-only: a slice's points replay one plan (_run_slice).
     """
 
     order: np.ndarray
-    retain: np.ndarray
+    stops: np.ndarray
+    retain: np.ndarray | None
     targets: np.ndarray | None
 
 
-def _build_plan(data, splits, cfg, forget_loss, reference) -> _StepPlan:
-    """Consume ``default_rng(cfg.seed)`` as the paired loop always has:
-    the epoch shuffle of the forget rows, then per step the retain
-    batch draw and, for "kl_to_target", build_refdist's held-out picks
-    with the frozen ``reference``.
-
+def _build_plan(data, splits, cfg, method, reference) -> _StepPlan:
+    """Consume ``default_rng(cfg.seed)`` as the method's loop always has:
+    the epoch shuffles of ``_batches`` over the walked rows, and per
+    paired step the retain batch draw, then, for "kl_to_target",
+    build_refdist's held-out picks with the frozen ``reference``.  The
+    plan depends on neither lr, w, gamma, momentum nor the edited model.
     Sampling errors, CoverageError among them, rise here, before any
     step is taken, with their usual types and messages; so does
     LossSpec's error for the first target row that is no distribution.
     """
     rng = np.random.default_rng(cfg.seed)
-    forget = np.asarray(splits.forget, dtype=np.int64)
-    retain = np.asarray(splits.retain, dtype=np.int64)
-    retain_bs = cfg.retain_batch_size or cfg.batch_size
-    steps = cfg.epochs * -(-forget.size // cfg.batch_size)
-    order = np.empty((cfg.epochs, forget.size), dtype=np.int64)
-    retain_rows = np.empty((steps, retain_bs), dtype=np.int64)
-    targets = None
-    if forget_loss == "kl_to_target":
+    rows = np.asarray(getattr(splits, method.rows), dtype=np.int64)
+    epochs = cfg.epochs if not cfg.epochs or method.epochs is None else method.epochs
+    steps = epochs * -(-rows.size // cfg.batch_size)
+    order = np.empty(epochs * rows.size, dtype=np.int64)
+    stops = np.empty(steps, dtype=np.int64)
+    retain = targets = None
+    if "w" in method.axes:
+        retain = np.empty((steps, cfg.retain_batch_size or cfg.batch_size), dtype=np.int64)
+    if method.forget_loss == "kl_to_target":
         targets = np.empty((steps, data.num_classes))
         ref_cfg = RefDistConfig(num_matched=cfg.num_matched)
-    t = 0
-    for epoch in range(cfg.epochs):
-        order[epoch] = forget[rng.permutation(forget.size)]
-        for start in range(0, forget.size, cfg.batch_size):
-            retain_rows[t] = sample_minibatch(retain, retain_bs, rng)
-            if targets is not None:
-                batch_f = order[epoch, start : start + cfg.batch_size]
-                targets[t] = build_refdist(data.labels[batch_f], data, splits.held_out,
-                                           reference, ref_cfg, rng=rng)
-            t += 1
+    stop = 0
+    for t, batch in enumerate(_batches(rows, epochs, cfg.batch_size, rng)):
+        order[stop : stop + batch.size] = batch
+        stop += batch.size
+        stops[t] = stop
+        if retain is not None:
+            retain[t] = sample_minibatch(splits.retain, retain.shape[1], rng)
+        if targets is not None:
+            targets[t] = build_refdist(data.labels[batch], data, splits.held_out,
+                                       reference, ref_cfg, rng=rng)
     if targets is not None:
         _check_soft_targets(targets)
-    for table in (order, retain_rows, targets):
+    for table in (order, stops, retain, targets):
         if table is not None:
             table.setflags(write=False)
-    return _StepPlan(order, retain_rows, targets)
-
-
-def _paired_updates(model, splits, data, cfg, forget_loss, reference, build_plan=None):
-    """Epochs over the forget set with a fresh retain batch per step.
-
-    Every draw comes from the run's step plan, which depends on the seed,
-    the loader knobs, the index sets, the pool labels and, for
-    "kl_to_target", the frozen ``reference`` model, but never on lr, w,
-    momentum or the model being edited.  The plan comes from the caller's
-    ``build_plan`` (default _build_plan, called with its arguments), so a
-    slice can build it once for all its points (see _run_slice).  A step
-    is one gradient of the weighted loss on its n_f forget rows stacked
-    over its n_r retain rows, weighing (1 - w) / n_f (negated for
-    "neg_ce_hard") and w / n_r.  Features and labels are checked once,
-    before the plan is asked for.
-    """
-    forget = np.asarray(splits.forget, dtype=np.int64)
-    if forget.size == 0:
-        raise ValueError("forget index set is empty")
-    if cfg.epochs == 0:
-        return model
-    retain = np.asarray(splits.retain, dtype=np.int64)
-    x, y0 = _loop_rows(model, data, LossSpec("ce_hard"), forget, retain)
-    plan = (build_plan or _build_plan)(data, splits, cfg, forget_loss, reference)
-    targets, n_r = plan.targets, plan.retain.shape[1]
-    sign = -1.0 if forget_loss == "neg_ce_hard" else 1.0
-    weights = {}  # the (n_f + n_r, 1) row weights by forget batch size
-    forget_batches = (shuffled[start : start + cfg.batch_size] for shuffled in plan.order
-                      for start in range(0, shuffled.size, cfg.batch_size))
-    kernel = _Kernel(model, cfg.lr, cfg.momentum)
-    for t, batch_f in enumerate(forget_batches):
-        n_f = batch_f.size
-        if n_f not in weights:
-            w_f = sign * (1.0 - cfg.w) / n_f
-            weights[n_f] = np.repeat([w_f, cfg.w / n_r], [n_f, n_r])[:, np.newaxis]
-        batch_r = plan.retain[t]
-        rows = np.concatenate((batch_f, batch_r))
-        # a planned target row stands for every forget row of its step,
-        # checked when the plan was built
-        if targets is None:
-            kernel.step(x[rows], y0[rows], weights[n_f])
-        else:
-            kernel.step(x[rows], y0[batch_r], weights[n_f], targets[t])
-    return kernel.model
+    return _StepPlan(order, stops, retain, targets)
 
 
 def _run_slice(model: Model, splits: DataSplits, data: Dataset, cfgs,
@@ -270,7 +258,7 @@ def _run_slice(model: Model, splits: DataSplits, data: Dataset, cfgs,
     """Yield the model each config of ``cfgs`` unlearns from ``model``, in order.
 
     The configs are one method's points on one seed and may differ only
-    in lr, w, momentum and gamma, which no step plan reads.  So a paired
+    in lr, w, momentum and gamma, which no step plan reads.  So the
     method builds its plan once, at the first point that takes a step,
     and every later point replays it; the plan lives as long as the
     generator.

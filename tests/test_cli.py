@@ -1,5 +1,6 @@
 """Command line: every subcommand end to end on a tiny config."""
 
+import importlib
 import json
 
 import pytest
@@ -111,6 +112,39 @@ def test_parallel_sweep_writes_the_same_bytes(cfg_path, tmp_path):
     for name in ("metrics.csv", "aggregated.csv", "sweep.csv", "manifest.json"):
         assert ((tmp_path / "serial" / name).read_bytes()
                 == (tmp_path / "parallel" / name).read_bytes())
+
+
+def _fail_unlearning(monkeypatch, seeds):
+    """Make every unlearned point of the experiment seeds ``seeds`` raise."""
+    unlearn_module = importlib.import_module("unlearnlab.unlearn")
+    doomed, real = {ul.derive_seed(s, "unlearn") for s in seeds}, unlearn_module._run
+
+    def flaky(name, model, splits, data, cfg, *rest):
+        if cfg.seed in doomed:
+            raise RuntimeError(f"synthetic {name}")
+        return real(name, model, splits, data, cfg, *rest)
+
+    monkeypatch.setattr(unlearn_module, "_run", flaky)
+
+
+def test_run_names_a_failed_seed_on_stderr(cfg_path, tmp_path, capsys, monkeypatch):
+    _fail_unlearning(monkeypatch, {1})
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == (
+        "seed 1 failed at unlearn:finetune: RuntimeError: synthetic finetune\n")
+    rows = ul.read_metrics_csv(tmp_path / "out" / "metrics.csv")
+    assert {r.seed for r in rows} == {0}
+
+
+def test_a_sweep_without_a_surviving_seed_exits_1(cfg_path, tmp_path, capsys,
+                                                  monkeypatch):
+    _fail_unlearning(monkeypatch, {0, 1})
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg_path, "--method", "regun",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"seed {s} failed at unlearn:regun: RuntimeError: synthetic regun" for s in (0, 1)]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])

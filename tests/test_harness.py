@@ -122,6 +122,13 @@ def test_method_grid_validation():
         MethodGrid(batch_size=0)
     with pytest.raises(ValueError):
         MethodGrid(num_matched=0)
+    # a repeated value would score one point twice and count its seeds twice
+    for axis, values in (("lrs", (0.05, 0.05)), ("ws", (0.5, 0.9, 0.5)),
+                         ("gammas", (0.0, -0.0))):
+        with pytest.raises(ValueError, match=f"grid {axis} must be distinct"):
+            MethodGrid(**{axis: values})
+    with pytest.raises(ValueError, match="grid lrs must be distinct"):
+        ul.config_from_dict({"methods": {"finetune": {"lrs": [0.05, 0.05]}}})
 
 
 @pytest.mark.parametrize("axis, bad, match", [
@@ -632,6 +639,13 @@ def test_parallel_sweep_matches_serial(tmp_path, tiny_cfg, tiny_run):
             == (tmp_path / "2" / "sweep.csv").read_bytes())
 
 
+def test_a_sweep_without_a_run_runs_the_experiment_first(tiny_cfg, tiny_run):
+    ws = (0.3, 0.7)
+    alone = ul.sweep_tradeoff(tiny_cfg, "regun", ws)
+    assert alone == ul.sweep_tradeoff(tiny_cfg, "regun", ws, result=tiny_run)
+    assert [p.w for p in alone] == list(ws)
+
+
 def test_sweep_rejects_non_w_methods(tiny_cfg, tiny_run):
     with pytest.raises(ValueError, match="has no w"):
         ul.sweep_tradeoff(tiny_cfg, "finetune", (0.5,), result=tiny_run)
@@ -696,10 +710,10 @@ def test_a_slice_builds_its_plan_once(tiny_cfg, toy, monkeypatch):
         alone = ul.regun(toy.base, toy.splits, toy.pool, point)
         assert np.array_equal(model.theta, alone.theta)
     assert len(built) == 1 + len(points)  # called alone, each point builds its own
-    # a serial run builds one plan per seed and paired method
+    # a serial run builds one plan per seed and method
     built.clear()
     ul.run_experiment(tiny_cfg)
-    assert len(built) == len(tiny_cfg.seeds)
+    assert len(built) == len(tiny_cfg.seeds) * len(tiny_cfg.methods)
 
 
 def test_a_slice_refuses_points_that_need_different_plans(toy):
@@ -871,12 +885,15 @@ def experiment_configs(draw):
                           lr=draw(st.floats(1e-6, 10.0, **_floats)),
                           momentum=draw(st.floats(0.0, 0.99, **_floats)))
     knob = st.none() | st.integers(1, 256)
+
+    def axis(lo, hi, most):  # a grid axis holds distinct values
+        return tuple(draw(st.lists(st.floats(lo, hi, **_floats), min_size=1, max_size=most,
+                                   unique=True)))
     methods = {
         name: MethodGrid(
-            lrs=tuple(draw(st.lists(st.floats(1e-6, 1.0, **_floats), min_size=1, max_size=3))),
-            ws=tuple(draw(st.lists(st.floats(0.0, 1.0, **_floats), min_size=1, max_size=3)))
-            if "w" in METHOD_TABLE[name].axes else MethodGrid().ws,
-            gammas=tuple(draw(st.lists(st.floats(0.0, 1.0, **_floats), min_size=1, max_size=2)))
+            lrs=axis(1e-6, 1.0, 3),
+            ws=axis(0.0, 1.0, 3) if "w" in METHOD_TABLE[name].axes else MethodGrid().ws,
+            gammas=axis(0.0, 1.0, 2)
             if "gamma" in METHOD_TABLE[name].axes else MethodGrid().gammas,
             batch_size=draw(knob), retain_batch_size=draw(knob),
             num_matched=draw(knob))

@@ -342,11 +342,22 @@ def test_loss_rejects_bad_inputs():
     ([-0.5, 0.5], "must be a 1-d distribution"),
     ([0.2, 0.2], "must sum to 1"),
     ([], "must sum to 1"),
+    ([math.nan, math.nan], "must be a 1-d distribution"),
+    ([math.nan, 1.0], "must be a 1-d distribution"),
+    ([math.inf, 0.0], "must sum to 1"),
 ])
 def test_soft_target_checks(target, match):
     for kind in ("ce_soft", "kl_to_target"):
         with pytest.raises(ValueError, match=match):
             ul.LossSpec(kind, soft_target=target)
+
+
+def test_loss_specs_compare_by_identity():
+    # array fields make field-wise equality ambiguous, as for Model
+    spec = ul.LossSpec("ce_soft", soft_target=[0.5, 0.5])
+    assert spec == spec
+    assert spec != ul.LossSpec("ce_soft", soft_target=[0.5, 0.5])
+    assert len({spec, ul.LossSpec("ce_hard")}) == 2
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

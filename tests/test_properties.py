@@ -358,11 +358,11 @@ def fused_public_loop(model, pool, splits, cfg, reference):
 
 
 @st.composite
-def paired_runs(draw):
+def paired_runs(draw, methods=("regun", "neggrad_plus")):
     """(model, reference, pool, splits, cfg): a random pool of n rows in
     k classes cut into held-out, forget, retain and spare (validation)
-    rows, a random model, and a paired-method config whose batches often
-    leave a short last batch."""
+    rows, a random model, and a config of one of ``methods`` (by default
+    the paired ones) whose batches often leave a short last batch."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     d, k = draw(st.integers(1, 4)), draw(st.integers(2, 4))
     sizes = [draw(st.integers(lo, hi)) for lo, hi in ((k, 12), (1, 11), (1, 12), (1, 3))]
@@ -377,34 +377,49 @@ def paired_runs(draw):
     reference = model if draw(st.booleans()) else model.with_theta(
         rng.normal(scale=0.7, size=model.theta.size))
     cfg = UnlearnConfig(
-        method=draw(st.sampled_from(["regun", "neggrad_plus"])),
+        method=draw(st.sampled_from(methods)),
         lr=0.05, epochs=draw(st.integers(1, 3)),
         batch_size=draw(st.sampled_from([1, 2, 3, 4, 5, 16])),
         retain_batch_size=draw(st.sampled_from([None, 1, 3, 16])),
         w=draw(st.floats(0.0, 1.0)), momentum=0.9,
+        gamma=draw(st.sampled_from([0.0, 0.01])),
         num_matched=draw(st.sampled_from([None, 1, 7])),
         seed=draw(st.integers(0, 2**32 - 1)))
     return model, reference, pool, splits, cfg
 
 
 def unlearned(model, reference, pool, splits, cfg):
-    if cfg.method == "regun":
-        return ul.regun(model, splits, pool, cfg, reference=reference)
-    return ul.neggrad_plus(model, splits, pool, cfg)
+    return ul.unlearn(model, splits, pool, cfg, reference=reference)
+
+
+def public_method_loop(model, pool, splits, cfg, reference):
+    """Any method written with public functions only: the paired ones
+    as ``fused_public_loop``, the others as ``public_train_loop`` over
+    their rows (retain, or forget for neggrad's two epochs of ascent)
+    with gamma as l1_sparse's L1 weight."""
+    if cfg.method in ("regun", "neggrad_plus"):
+        return fused_public_loop(model, pool, splits, cfg, reference)
+    neggrad = cfg.method == "neggrad"
+    tcfg = ul.TrainConfig(epochs=2 if neggrad else cfg.epochs, batch_size=cfg.batch_size,
+                          lr=cfg.lr, momentum=cfg.momentum, seed=cfg.seed)
+    spec = LossSpec("neg_ce_hard" if neggrad else "ce_hard",
+                    l1_weight=cfg.gamma if cfg.method == "l1_sparse" else 0.0)
+    return public_train_loop(model, pool, splits.forget if neggrad else splits.retain,
+                             tcfg, spec)
 
 
 @settings(max_examples=150, deadline=None)
-@given(paired_runs(), st.floats(0.001, 0.2), st.floats(0.0, 1.0))
+@given(paired_runs(ul.METHODS), st.floats(0.001, 0.2), st.floats(0.0, 1.0))
 def test_plan_replay_equals_the_public_loop_bit_for_bit(run, lr, w):
     model, reference, pool, splits, cfg = run
-    want = fused_public_loop(model, pool, splits, cfg, reference)
+    want = public_method_loop(model, pool, splits, cfg, reference)
     got = unlearned(model, reference, pool, splits, cfg)
     assert np.array_equal(got.theta.view(np.uint64), want.theta.view(np.uint64))
     # a two-point slice replays one plan; each point is its own public loop
-    points = [cfg, replace(cfg, lr=lr, w=w)]
+    points = [cfg, replace(cfg, lr=lr, w=w, gamma=0.01 - cfg.gamma)]
     sliced = unlearn_module._run_slice(model, splits, pool, points, reference)
     for point, mine in zip(points, sliced, strict=True):
-        want = fused_public_loop(model, pool, splits, point, reference)
+        want = public_method_loop(model, pool, splits, point, reference)
         assert np.array_equal(mine.theta.view(np.uint64), want.theta.view(np.uint64))
 
 
@@ -452,7 +467,7 @@ def public_train_loop(model, data, indices, cfg, spec):
 
 
 @settings(max_examples=80, deadline=None)
-@given(paired_runs(), st.sampled_from([0.0, 0.9]), st.sampled_from([0.0, 0.01]),
+@given(paired_runs(ul.METHODS), st.sampled_from([0.0, 0.9]), st.sampled_from([0.0, 0.01]),
        st.data())
 def test_the_step_kernel_is_the_public_loop_and_writes_no_input(run, momentum, l1, data):
     # draw_model draws linear, tanh and relu models
@@ -467,16 +482,25 @@ def test_the_step_kernel_is_the_public_loop_and_writes_no_input(run, momentum, l
     batch_size = data.draw(st.sampled_from([b for b in range(2, n) if n % b] or [1]))
     tcfg = ul.TrainConfig(epochs=cfg.epochs, batch_size=batch_size, lr=cfg.lr,
                           momentum=momentum, seed=cfg.seed)
-    spec = LossSpec("ce_hard", l1_weight=l1)
+    # every LossSpec kind; the soft ones with a drawn distribution
+    kind = data.draw(st.sampled_from(["ce_hard", "neg_ce_hard", "ce_soft", "kl_to_target"]))
+    q = (np.random.default_rng(cfg.seed).dirichlet(np.ones(pool.num_classes))
+         if kind in ("ce_soft", "kl_to_target") else None)
+    spec = LossSpec(kind, soft_target=q, l1_weight=l1)
     got = ul.train(model, pool, indices, tcfg, loss=spec)
     want = public_train_loop(model, pool, indices, tcfg, spec)
     assert np.array_equal(got.theta.view(np.uint64), want.theta.view(np.uint64))
 
-    for method in ("regun", "neggrad_plus"):
-        point = replace(cfg, method=method)
-        got = unlearned(model, reference, pool, splits, point)
-        want = fused_public_loop(model, pool, splits, point, reference)
-        assert np.array_equal(got.theta.view(np.uint64), want.theta.view(np.uint64)), method
+    # every method, alone and as a two-point slice, is its public loop
+    for method in ul.METHODS:
+        point = replace(cfg, method=method, gamma=l1)
+        points = [point, replace(point, lr=0.01)]
+        runs = [unlearned(model, reference, pool, splits, point),
+                *unlearn_module._run_slice(model, splits, pool, points, reference)]
+        for got, want_cfg in zip(runs, [point, *points], strict=True):
+            want = public_method_loop(model, pool, splits, want_cfg, reference)
+            assert np.array_equal(got.theta.view(np.uint64),
+                                  want.theta.view(np.uint64)), method
     assert [m.theta.tobytes() for m in inputs] == before
 
     # every point of a slice hands over its own theta

@@ -2,6 +2,7 @@
 
 import importlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -335,6 +336,17 @@ def test_paired_methods_check_every_label_on_entry(method, split, toy):
         ul.unlearn(toy.base, toy.splits, bad, cfg)
 
 
+@pytest.mark.parametrize("method", ul.METHODS)
+@pytest.mark.parametrize("epochs", [0, 1])
+def test_every_method_refuses_an_empty_walked_set(method, epochs, toy):
+    # the walked set is checked before the zero-budget identity
+    split = METHOD_TABLE[method].rows
+    assert split == ("retain" if method in ("finetune", "l1_sparse") else "forget")
+    splits = replace(toy.splits, **{split: np.array([], dtype=np.int64)})
+    with pytest.raises(ValueError, match=f"^{split} index set is empty$"):
+        ul.unlearn(toy.base, splits, toy.pool, cfg_for(method, toy, epochs=epochs))
+
+
 @pytest.mark.parametrize("method", ["regun", "neggrad_plus"])
 def test_paired_methods_check_feature_width(method, toy):
     cfg = cfg_for(method, toy)
@@ -392,6 +404,7 @@ def test_w_methods_are_the_records_listing_w():
     (lambda q: q * 2.0, "soft_target must sum to 1"),
     (lambda q: q + np.arange(q.size) - np.arange(q.size).mean(),
      "soft_target must be a 1-d distribution"),
+    (lambda q: np.full_like(q, np.nan), "must be a 1-d distribution"),
 ])
 def test_regun_checks_its_planned_targets_before_the_first_step(
         toy, monkeypatch, spoil, match):
