@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import unlearnlab as ul
+from test_report_digests import check_digests
 from unlearnlab.harness import DEFAULT_SWEEP_WS
 
 
@@ -387,3 +388,11 @@ def test_criterion_9_determinism(full_run, tmp_path):
         ok = ok and (tmp_path / "parallel" / name).read_bytes() == ref
     verdict("criterion 9 byte-identical reruns", ok,
             "serial rerun and 2-worker run both match")
+
+
+def test_the_default_run_writes_its_golden_bytes(full_run, tmp_path):
+    # not a criterion: the shared run's report files against their
+    # recorded digests (see test_report_digests.py)
+    _, result, _ = full_run
+    ul.write_report(result, tmp_path)
+    check_digests(tmp_path, "default")
