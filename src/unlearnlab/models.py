@@ -15,8 +15,8 @@ neg_ce_hard); ``LossSpec.weights`` sets the weights row by row.
 
 All gradients come from one private core, ``_grad``, whose p is
 ``_softmax``, the max-shifted softmax of ``forward_probs`` and the
-harness; only loss values and log-probability outputs take the
-scipy-exact log-softmax of ``_log_softmax``.  ``loss_and_grad``
+harness; loss values and log-probability outputs take ``_log_softmax``,
+shifted by the same row maximum.  ``loss_and_grad``
 validates one batch and then calls the core, while ``train`` and the
 unlearning loop validate their whole index set once (``_loop_rows``),
 walk the epoch batches of ``_batches`` and step one ``_Kernel``: it
@@ -257,28 +257,10 @@ def forward_log_probs(model: Model, x: np.ndarray) -> np.ndarray:
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    """``logits - logsumexp(logits)`` per row.
-
-    The log-sum-exp follows scipy 1.17's ``logsumexp`` step for step, so
-    the result equals ``logits - scipy.special.logsumexp(logits, axis=1,
-    keepdims=True)`` bit for bit.  With c the row maximum, m the number
-    of entries equal to c and s the sum of exp(z - c) over the other
-    entries, lse = log1p(s / m) + log(m) + c, added in that order.  Rows
-    where that is not finite fall back to log(sum(exp(z))), as scipy's
-    do.
-    """
-    c = logits.max(axis=1, keepdims=True)
-    at_max = logits == c
-    e = np.exp(logits - c)
-    e[at_max] = 0.0
-    m = at_max.sum(axis=1, keepdims=True, dtype=np.float64)
-    lse = np.log1p(e.sum(axis=1, keepdims=True) / m) + np.log(m) + c
-    finite = np.isfinite(lse)
-    if not finite.all():
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            direct = np.log(np.exp(logits).sum(axis=1, keepdims=True))
-        lse = np.where(finite, lse, direct)
-    return logits - lse
+    """Row-wise log softmax, shifted by the row maximum as ``_softmax`` is.
+    A row holding +inf or NaN, or only -inf, gives NaN in every entry."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
 def forward_probs(model: Model, x: np.ndarray) -> np.ndarray:
@@ -449,7 +431,7 @@ def loss_and_grad(model: Model, x: np.ndarray, y, spec: LossSpec):
     ignored and may be None for ce_soft / kl_to_target), then takes the
     gradient, flat in theta layout, from the shared core ``_grad`` and
     adds the loss value: the weighted sum of the rows' CE (KL for
-    kl_to_target) from the scipy-exact ``_log_softmax``.  The training
+    kl_to_target) from ``_log_softmax``.  The training
     loops call the core directly after checking their whole index set
     once, so both paths give the same bits.
     """

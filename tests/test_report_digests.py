@@ -35,8 +35,8 @@ GOLDEN = {
         "manifest.json": "8a1a6f1c421404e2dd9245c47e0b3dd72c677d3681a850940f3539540d5e3922",
     },
     "linear": {
-        "metrics.csv": "0cfc55de340759dc2cfdcdeb0aec0e92cdc7767e9e2ec0e91f2062fd4d0176d3",
-        "aggregated.csv": "4ea316f18c35dd4483fa6874b126a7511750741842ca38a344bde1496eb781ce",
+        "metrics.csv": "03d32403e13d77e8a46b9c2cbff8e24649f558547097d40015ee928bde51e9c2",
+        "aggregated.csv": "1970042f24069310070ecc180e027dd91b5ec151d3209193ec42b42fae1c8319",
         "manifest.json": "75613bf29f44c74c3584c68974e10730a1b57be380e6ea6688511450f46f7d2f",
     },
     "csv": {  # mlp1-tanh on CSV files of two generator draws
