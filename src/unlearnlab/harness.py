@@ -109,7 +109,8 @@ class MethodGrid:
     gamma when its record in METHOD_TABLE lists them.  The remaining
     loader knobs are fixed per method, not swept: ``batch_size`` (None
     means inherit the base training batch size), ``retain_batch_size``
-    and ``num_matched`` (None means the per-step forget batch size).
+    (methods with a w axis) and ``num_matched`` (regun's reference
+    match; None means the per-step forget batch size).
     """
 
     lrs: tuple[float, ...] = (0.05,)
@@ -192,12 +193,19 @@ class ExperimentConfig:
                 raise ValueError(f"unknown method {name!r} in config")
             if not isinstance(grid, MethodGrid):
                 raise ValueError(f"method {name!r} needs a MethodGrid")
+            spec = METHOD_TABLE[name]
             for axis in ("w", "gamma"):
                 key, default = axis + "s", getattr(_DEFAULT_GRID, axis + "s")
-                if axis not in METHOD_TABLE[name].axes and getattr(grid, key) != default:
+                if axis not in spec.axes and getattr(grid, key) != default:
                     raise ValueError(
                         f"config key methods.{name}.{key}: {name} does not sweep "
                         f"{axis}; leave {key} out or at its default {list(default)}")
+            # the loader knobs of the paired loop and of the reference match
+            for key, reads in (("retain_batch_size", "w" in spec.axes),
+                               ("num_matched", spec.forget_loss == "kl_to_target")):
+                if not reads and getattr(grid, key) is not None:
+                    raise ValueError(f"config key methods.{name}.{key}: {name} does not "
+                                     f"read {key}; leave it out")
 
 
 def default_config() -> ExperimentConfig:
@@ -929,20 +937,24 @@ def write_metrics_csv(rows, path) -> None:
 
 def read_metrics_csv(path):
     """Parse a metrics CSV back into MetricsReport rows."""
+    return [row for _, row in _metrics_lines(path)]
+
+
+def _metrics_lines(path):
+    """Yield ``(lineno, MetricsReport)`` for each row of a metrics CSV."""
     lines = read_rows(path)
     if tuple(next(lines, (0, ()))[1]) != METRICS_HEADER:
         raise ValueError(f"{path}: not a metrics CSV")
     hints = get_type_hints(MetricsReport)
-    rows = []
     for lineno, cells in lines:
         where = f"{path} line {lineno}"
         values = {name: parse_cell(hints[name], cell, where)
                   for name, cell in zip(METRICS_HEADER, cells)}
         try:
-            rows.append(MetricsReport(**values))
+            row = MetricsReport(**values)
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
-    return rows
+        yield lineno, row
 
 
 def write_aggregated_csv(aggregates, path) -> None:

@@ -313,6 +313,46 @@ def test_evaluate_reads_every_checkpoint_before_training(cfg_path, tiny_cfg,
     assert not (out / "metrics.csv").exists()
 
 
+def test_evaluate_refuses_repeated_and_reserved_checkpoint_names(cfg_path, tiny_cfg,
+                                                                 tmp_path, capsys,
+                                                                 monkeypatch):
+    # rows are named after file stems: two finetune_seed0 rows, or a second
+    # base row, would be counted as two seeds by report
+    def no_training(*args, **kwargs):
+        raise ValueError("prepare_seed ran")
+
+    monkeypatch.setattr("unlearnlab.cli.prepare_seed", no_training)
+    paths = [tmp_path / "b" / "finetune_seed0.ckpt", tmp_path / "c" / "finetune_seed0.ckpt",
+             tmp_path / "a" / "base.ckpt", tmp_path / "a" / "other.ckpt"]
+    for path in paths:
+        path.parent.mkdir(exist_ok=True)
+        ul.save_checkpoint(ul.init_model(tiny_cfg.arch, seed=0), path)
+    out = tmp_path / "eval"
+    rc = main(["evaluate", "--config", cfg_path, "--out", str(out), *map(str, paths)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoints named ['base', 'finetune_seed0']: ")
+    assert not (out / "metrics.csv").exists()
+    rc = main(["evaluate", "--config", cfg_path, "--out", str(out),
+               str(tmp_path / "a" / "retrain.ckpt")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: checkpoints named ['retrain']: ")
+
+
+def test_report_refuses_a_repeated_row_naming_its_line(tmp_path, capsys):
+    row = ul.MetricsReport("regun", 0, 0.5, 95.0, 80.0, 90.0, 80.0, 1.0, 1.0, 50.0, 50.0)
+    other_w = ul.MetricsReport("regun", 0, 0.9, 95.0, 80.0, 90.0, 80.0, 1.0, 1.0, 50.0, 50.0)
+    path = tmp_path / "metrics.csv"
+    ul.harness.write_metrics_csv([row, other_w, row], path)
+    rc = main(["report", "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {path} line 4: method 'regun', seed 0 and w 0.5 repeat line 2\n")
+    assert not (tmp_path / "aggregated.csv").exists()
+    ul.harness.write_metrics_csv([row, other_w], path)
+    assert main(["report", "--out", str(tmp_path)]) == 0
+
+
 def test_report_names_a_metrics_file_that_is_not_utf8(tmp_path, capsys):
     row = ul.MetricsReport("regun", 0, 0.5, 95.0, 80.0, 90.0, 80.0, 1.0, 1.0, 50.0, 50.0)
     path = tmp_path / "metrics.csv"

@@ -257,6 +257,38 @@ def test_config_rejects_an_axis_the_method_does_not_sweep(method, key, value):
                 methods={method: MethodGrid(**{key: tuple(value)})})
 
 
+@pytest.mark.parametrize("method, key", [
+    ("finetune", "retain_batch_size"),
+    ("neggrad", "retain_batch_size"),
+    ("l1_sparse", "retain_batch_size"),
+    ("finetune", "num_matched"),
+    ("l1_sparse", "num_matched"),
+    ("neggrad", "num_matched"),
+    ("neggrad_plus", "num_matched"),
+])
+def test_config_rejects_a_loader_knob_the_method_does_not_read(method, key):
+    # retain_batch_size is read by the paired (w) methods alone, and
+    # num_matched by the reference match of kl_to_target alone
+    with pytest.raises(ValueError, match=rf"config key methods\.{method}\.{key}: "):
+        ul.config_from_dict({"methods": {method: {key: 4}}})
+    with pytest.raises(ValueError, match=rf"config key methods\.{method}\.{key}: "):
+        replace(ul.default_config(), methods={method: MethodGrid(**{key: 4})})
+
+
+def test_a_knob_a_method_does_not_read_is_refused_in_a_json_file(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"methods": {"finetune": {"num_matched": 4,
+                                                         "retain_batch_size": 9}}}))
+    with pytest.raises(ValueError, match=r"methods\.finetune\.retain_batch_size: finetune "
+                                         r"does not read retain_batch_size"):
+        ul.load_config(path)
+    # the methods that read them keep them
+    cfg = ul.config_from_dict({"methods": {"regun": {"num_matched": 4, "retain_batch_size": 9},
+                                           "neggrad_plus": {"retain_batch_size": 9}}})
+    assert (cfg.methods["regun"].num_matched, cfg.methods["regun"].retain_batch_size,
+            cfg.methods["neggrad_plus"].retain_batch_size) == (4, 9, 9)
+
+
 def test_config_accepts_an_unswept_axis_at_its_default():
     # config_to_dict echoes every axis, so a default one must read back
     cfg = ul.config_from_dict({"methods": {"finetune": {"ws": [0.5], "gammas": [0.0]},
@@ -895,8 +927,10 @@ def experiment_configs(draw):
             ws=axis(0.0, 1.0, 3) if "w" in METHOD_TABLE[name].axes else MethodGrid().ws,
             gammas=axis(0.0, 1.0, 2)
             if "gamma" in METHOD_TABLE[name].axes else MethodGrid().gammas,
-            batch_size=draw(knob), retain_batch_size=draw(knob),
-            num_matched=draw(knob))
+            batch_size=draw(knob),
+            retain_batch_size=draw(knob) if "w" in METHOD_TABLE[name].axes else None,
+            num_matched=draw(knob)
+            if METHOD_TABLE[name].forget_loss == "kl_to_target" else None)
         for name in draw(st.lists(st.sampled_from(ul.METHODS), unique=True))
     }
     if draw(st.booleans()):
