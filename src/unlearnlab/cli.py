@@ -23,13 +23,13 @@ from .harness import (
     DEFAULT_SWEEP_WS,
     W_METHODS,
     _mapper,
-    _metrics_lines,
     aggregate_rows,
     default_config,
     evaluate_model,
     load_config,
     method_grid_configs,
     prepare_seed,
+    read_metrics_csv,
     run_experiment,
     score_base_and_retrain,
     sweep_tradeoff,
@@ -39,6 +39,7 @@ from .harness import (
 )
 from .metrics import with_gaps
 from .models import load_checkpoint, save_checkpoint
+from .textio import _text
 from .unlearn import METHODS, unlearn
 
 
@@ -92,9 +93,12 @@ def cmd_evaluate(args) -> int:
     cfg = _config_from_args(args)
     seed = cfg.seeds[0]
     # each row is named after its checkpoint's file stem, so the stems
-    # must be distinct and not the seed's own rows; every checkpoint is
-    # read before the seed is trained, so a bad one fails at once
+    # must be CSV cells, distinct and not the seed's own rows; every
+    # checkpoint is read before the seed is trained, so a bad one fails
+    # at once
     names = [os.path.splitext(os.path.basename(path))[0] for path in args.checkpoints]
+    for name in names:
+        _text(name)
     clashes = sorted({n for n in names if names.count(n) > 1 or n in ("base", "retrain")})
     if clashes:
         raise ValueError(f"checkpoints named {clashes}: each row takes its checkpoint's "
@@ -164,15 +168,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_report(args) -> int:
     metrics_path = os.path.join(args.out, "metrics.csv")
-    rows, lines = [], {}
-    # a repeated (method, seed, w) row would count its seed twice
-    for lineno, row in _metrics_lines(metrics_path):
-        key = (row.method, row.seed, row.w)
-        if key in lines:
-            raise ValueError(f"{metrics_path} line {lineno}: method {row.method!r}, seed "
-                             f"{row.seed} and w {row.w} repeat line {lines[key]}")
-        lines[key] = lineno
-        rows.append(row)
+    rows = read_metrics_csv(metrics_path)
     if not rows:
         raise ValueError(f"{metrics_path}: no rows to aggregate")
     out_path = os.path.join(args.out, "aggregated.csv")

@@ -936,16 +936,14 @@ def write_metrics_csv(rows, path) -> None:
 
 
 def read_metrics_csv(path):
-    """Parse a metrics CSV back into MetricsReport rows."""
-    return [row for _, row in _metrics_lines(path)]
-
-
-def _metrics_lines(path):
-    """Yield ``(lineno, MetricsReport)`` for each row of a metrics CSV."""
+    """Parse a metrics CSV back into MetricsReport rows.  A row that
+    repeats an earlier one's (method, seed, w), which would count its
+    seed twice, is refused with both line numbers."""
     lines = read_rows(path)
     if tuple(next(lines, (0, ()))[1]) != METRICS_HEADER:
         raise ValueError(f"{path}: not a metrics CSV")
     hints = get_type_hints(MetricsReport)
+    rows, first = [], {}
     for lineno, cells in lines:
         where = f"{path} line {lineno}"
         values = {name: parse_cell(hints[name], cell, where)
@@ -954,7 +952,13 @@ def _metrics_lines(path):
             row = MetricsReport(**values)
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
-        yield lineno, row
+        key = (row.method, row.seed, row.w)
+        if key in first:
+            raise ValueError(f"{where}: method {row.method!r}, seed {row.seed} and w "
+                             f"{row.w} repeat line {first[key]}")
+        first[key] = lineno
+        rows.append(row)
+    return rows
 
 
 def write_aggregated_csv(aggregates, path) -> None:

@@ -22,7 +22,9 @@ unlearning loop validate their whole index set once (``_loop_rows``),
 walk the epoch batches of ``_batches`` and step one ``_Kernel``: it
 updates a copy of the incoming theta in place (a Model's theta is
 never written) with the IEEE operations of the public
-``loss_and_grad`` + ``sgd_step`` loop, in order.
+``loss_and_grad`` + ``sgd_step`` loop, in order.  Every array a step
+touches comes from ``_aligned``, starting on a 64-byte cache line: at
+malloc's 16 or 48 bytes past one, AVX-512 ufuncs run up to 2x slower.
 
 Inference forwards go through ``forward_logits``, which cuts a batch of
 more than 1,024 rows into the balanced contiguous blocks of
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
 from typing import get_type_hints
 
 import numpy as np
@@ -171,17 +173,30 @@ def _activate_grad(a: np.ndarray, activation: str, out: np.ndarray) -> np.ndarra
     return np.greater(a, 0.0, out=out)
 
 
-def _workspace():
-    """Float64 scratch arrays by name: ``get(name, n, width)`` returns the
-    leading rows ``buf[:n]`` of one (rows, width) buffer, reallocated
-    only when more rows are asked for, so a short last batch reuses it."""
-    bufs = {}
+def _aligned(shape: tuple, dtype=np.float64) -> np.ndarray:
+    """An uninitialised C-contiguous array whose data starts on a 64-byte
+    (cache-line) boundary; malloc alone guarantees only 16 bytes."""
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    raw = np.empty(nbytes + 63, dtype=np.uint8)
+    return raw[-raw.ctypes.data % 64 :][:nbytes].view(dtype).reshape(shape)
 
-    def get(name, n, width):
-        if name not in bufs or len(bufs[name]) < n:
-            bufs[name] = np.empty((n, width))
-        return bufs[name][:n]
-    return get
+
+class _Workspace:
+    """What ``_grad`` works in: the (W, b) views of ``model`` and of
+    ``grad``, bound once, the one-hot row index by (m, n), and scratch
+    by name: ``ws(name, n, width)`` is ``buf[:n]`` of one ``_aligned``
+    (rows, width) buffer, so it starts on a cache line, reallocated only
+    when more rows are asked for; a short last batch reuses it."""
+
+    def __init__(self, model: Model, grad: np.ndarray | None = None):
+        self.layers, self.grad, self.bufs, self.onehot_rows = unpack_params(model), grad, {}, {}
+        self.grad_layers = None if grad is None else _layers(model.arch, grad)[::-1]
+
+    def __call__(self, name, n, width):
+        buf = self.bufs.get(name)
+        if buf is None or len(buf) < n:
+            buf = self.bufs[name] = _aligned((n, width))
+        return buf[:n]
 
 
 def _check_inputs(model: Model, x: np.ndarray) -> np.ndarray:
@@ -204,8 +219,8 @@ def _forward_cached(model: Model, x: np.ndarray, ws=None):
     (a fresh one when None), adds its bias in place and, if hidden,
     writes the activation over it: the same bits as ``tanh(x @ w.T + b)``.
     """
-    ws = ws or _workspace()
-    *hidden, (w2, b2) = unpack_params(model)
+    ws = ws or _Workspace(model)
+    *hidden, (w2, b2) = ws.layers
     a1 = None
     if hidden:
         [(w1, b1)] = hidden
@@ -271,9 +286,9 @@ def forward_probs(model: Model, x: np.ndarray) -> np.ndarray:
 def _softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Row-wise exp(z - max) / sum, into ``out`` when given.  The row
     maximum is subtracted before exponentiation, so nothing overflows."""
-    p = np.subtract(logits, logits.max(axis=1, keepdims=True), out=out)
+    p = np.subtract(logits, np.maximum.reduce(logits, axis=1, keepdims=True), out=out)
     np.exp(p, out=p)
-    p /= p.sum(axis=1, keepdims=True)
+    p /= np.add.reduce(p, axis=1, keepdims=True)
     return p
 
 
@@ -365,7 +380,7 @@ def _check_labels(y, num_classes: int, n: int) -> np.ndarray:
 
 
 def _grad(model: Model, x: np.ndarray, y0, weight, target=None, l1_weight=0.0,
-          ws=None, out=None):
+          ws=None):
     """The gradient core of the one row-weighted loss: (logits, exact
     d loss / d theta).  ``x`` is a float64 (batch, input_dim) array that
     passed the checks of ``loss_and_grad``.  The last ``y0.size`` rows
@@ -376,10 +391,10 @@ def _grad(model: Model, x: np.ndarray, y0, weight, target=None, l1_weight=0.0,
     or an (n, 1) column.  The logit gradient (p - t) * weight, with p
     the ``_softmax`` of the logits, is back-propagated, then
     l1_weight * sign(theta) is added.  The (batch, width) intermediates
-    go into the workspace ``ws`` and the gradient into ``out``; either
-    is allocated when None.
+    go into the ``_Workspace`` ``ws`` and the gradient into its vector;
+    both are allocated when None.
     """
-    ws = ws or _workspace()
+    ws = ws or _Workspace(model, np.empty_like(model.theta))
     n, k = x.shape[0], model.arch.num_classes
     logits, a1 = _forward_cached(model, x, ws)
     dz = _softmax(logits, out=ws("dz", n, k))
@@ -391,26 +406,27 @@ def _grad(model: Model, x: np.ndarray, y0, weight, target=None, l1_weight=0.0,
             raise ValueError("soft_target length must equal num_classes")
         dz[:m] -= target
     if y0 is not None:
-        dz[np.arange(m, n), y0] -= 1.0
+        if (m, n) not in ws.onehot_rows:
+            ws.onehot_rows[m, n] = np.arange(m, n)
+        dz[ws.onehot_rows[m, n], y0] -= 1.0
     dz *= weight
 
-    grad = np.empty_like(model.theta) if out is None else out
-    # each block is written through its (W, b) view into grad
-    (gw, gb), *hidden = reversed(_layers(model.arch, grad))
+    # each block is written through its (W, b) view into the gradient
+    (gw, gb), *hidden = ws.grad_layers
     np.matmul(dz.T, x if a1 is None else a1, out=gw)
-    dz.sum(axis=0, out=gb)
+    np.add.reduce(dz, axis=0, out=gb)
     if a1 is not None:
         [(gw1, gb1)] = hidden
-        dz1 = np.matmul(dz, unpack_params(model)[1][0], out=ws("da1", *a1.shape))
+        dz1 = np.matmul(dz, ws.layers[1][0], out=ws("da1", *a1.shape))
         dz1 *= _activate_grad(a1, model.arch.activation, ws("act", *a1.shape))
         np.matmul(dz1.T, x, out=gw1)
-        dz1.sum(axis=0, out=gb1)
+        np.add.reduce(dz1, axis=0, out=gb1)
 
     if l1_weight > 0.0:
-        sign = np.sign(model.theta, out=ws("l1", 1, grad.size)[0])
+        sign = np.sign(model.theta, out=ws("l1", 1, model.theta.size)[0])
         sign *= l1_weight
-        grad += sign
-    return logits, grad
+        ws.grad += sign
+    return logits, ws.grad
 
 
 def _row_weight(spec: LossSpec, n: int):
@@ -507,22 +523,31 @@ def sgd_step(model: Model, grad: np.ndarray, opt: OptState):
 class _Kernel:
     """One SGD run's state, updated in place: a copy of the incoming
     theta (the caller's is never written), the velocity, the update
-    temporary, the gradient and a ``_workspace`` for ``_grad``.  ``step``
-    is ``_grad`` then ``sgd_step`` in place, with its check and message
-    and the same IEEE operations in the same order.  ``model`` holds the
-    current theta and is handed over when the loop ends."""
+    temporary, the gradient and a ``_Workspace``, whose row buffer
+    ``rows`` fills with each step's features.  All are ``_aligned``, as
+    misaligned operands slow a step's ufuncs up to 2x.  ``step`` is
+    ``_grad`` then ``sgd_step`` in place: same check, message and IEEE
+    operations in order.  ``model`` holds theta, handed over at the end."""
 
     def __init__(self, model: Model, lr: float, momentum: float):
-        self.model = model.with_theta(model.theta.copy())
-        self.lr, self.momentum = lr, momentum
-        self.velocity = np.zeros_like(self.model.theta)
-        self.tmp, self.grad = (np.empty_like(self.velocity) for _ in range(2))
-        self.ws = _workspace()
+        shape, self.lr, self.momentum = model.theta.shape, lr, momentum
+        theta, self.velocity, self.tmp, grad = (_aligned(shape) for _ in range(4))
+        self.finite = _aligned(shape, np.bool_)
+        theta[...], self.velocity[...] = model.theta, 0.0
+        self.model = model.with_theta(theta)
+        self.ws = _Workspace(self.model, grad)
+
+    def rows(self, x, *parts) -> np.ndarray:
+        """``x[concatenate(parts)]``, gathered into the aligned row buffer."""
+        out = self.ws("x", sum(p.size for p in parts), x.shape[1])
+        for part, stop in zip(parts, accumulate(p.size for p in parts)):
+            x.take(part, axis=0, out=out[stop - part.size : stop])
+        return out
 
     def step(self, x, y0, weight, target=None, l1_weight: float = 0.0) -> None:
         """One update on the weighted loss of ``_grad`` (same arguments)."""
-        grad = _grad(self.model, x, y0, weight, target, l1_weight, self.ws, self.grad)[1]
-        if not np.isfinite(grad).all():
+        grad = _grad(self.model, x, y0, weight, target, l1_weight, self.ws)[1]
+        if not np.logical_and.reduce(np.isfinite(grad, out=self.finite)):
             raise ValueError("gradient contains non-finite entries")
         self.velocity *= self.momentum
         self.velocity += grad
@@ -589,7 +614,7 @@ def train(model: Model, data, indices, cfg: TrainConfig,
     kernel = _Kernel(model, cfg.lr, cfg.momentum)
     for batch in _batches(indices, cfg.epochs, cfg.batch_size,
                           np.random.default_rng(cfg.seed)):
-        kernel.step(x[batch], None if y0 is None else y0[batch],
+        kernel.step(kernel.rows(x, batch), None if y0 is None else y0[batch],
                     _row_weight(loss, batch.size), q, loss.l1_weight)
     return kernel.model
 

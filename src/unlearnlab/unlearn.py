@@ -155,19 +155,19 @@ def _run(name: str, model: Model, splits: DataSplits, data: Dataset,
         batch, start = plan.order[start:stop], stop
         n = batch.size
         if plan.retain is None:
-            kernel.step(x[batch], y0[batch], sign / n, None, l1)
+            kernel.step(kernel.rows(x, batch), y0[batch], sign / n, None, l1)
             continue
         batch_r = plan.retain[t]
         if n not in weights:
             w_f, n_r = sign * (1.0 - cfg.w) / n, batch_r.size
             weights[n] = np.repeat([w_f, cfg.w / n_r], [n, n_r])[:, np.newaxis]
-        both = np.concatenate((batch, batch_r))
+        rows = kernel.rows(x, batch, batch_r)
         # a planned target row stands for every forget row of its step,
         # checked when the plan was built
         if plan.targets is None:
-            kernel.step(x[both], y0[both], weights[n], None, l1)
+            kernel.step(rows, y0[np.concatenate((batch, batch_r))], weights[n], None, l1)
         else:
-            kernel.step(x[both], y0[batch_r], weights[n], plan.targets[t], l1)
+            kernel.step(rows, y0[batch_r], weights[n], plan.targets[t], l1)
     return kernel.model
 
 

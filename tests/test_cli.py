@@ -339,6 +339,25 @@ def test_evaluate_refuses_repeated_and_reserved_checkpoint_names(cfg_path, tiny_
     assert capsys.readouterr().err.startswith("error: checkpoints named ['retrain']: ")
 
 
+def test_evaluate_refuses_a_separator_in_a_stem_before_any_work(cfg_path, tiny_cfg,
+                                                                tmp_path, capsys,
+                                                                monkeypatch):
+    # the stem is checked with the CSV cell rule before any checkpoint is
+    # read, any model trained or --out made
+    def refused(*args, **kwargs):
+        raise AssertionError("ran before the stem check")
+
+    monkeypatch.setattr("unlearnlab.cli.prepare_seed", refused)
+    monkeypatch.setattr("unlearnlab.cli.load_checkpoint", refused)
+    ckpt = tmp_path / "a,b.ckpt"
+    ul.save_checkpoint(ul.init_model(tiny_cfg.arch, seed=0), ckpt)
+    out = tmp_path / "eval"
+    rc = main(["evaluate", "--config", cfg_path, "--out", str(out), str(ckpt)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: CSV cell 'a,b' contains a separator character\n"
+    assert not out.exists()
+
+
 def test_report_refuses_a_repeated_row_naming_its_line(tmp_path, capsys):
     row = ul.MetricsReport("regun", 0, 0.5, 95.0, 80.0, 90.0, 80.0, 1.0, 1.0, 50.0, 50.0)
     other_w = ul.MetricsReport("regun", 0, 0.9, 95.0, 80.0, 90.0, 80.0, 1.0, 1.0, 50.0, 50.0)

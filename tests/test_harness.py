@@ -785,6 +785,16 @@ def test_read_metrics_csv_errors(tmp_path):
         ul.read_metrics_csv(path)
 
 
+def test_read_metrics_csv_refuses_a_repeated_row(tmp_path, tiny_run):
+    # aggregating a repeated (method, seed, w) would count its seed twice
+    path = tmp_path / "metrics.csv"
+    first, second = tiny_run.rows[:2]
+    write_metrics_csv([first, second, replace(first, test_acc=1.0)], path)
+    with pytest.raises(ValueError, match=rf"line 4: method {first.method!r}, seed "
+                                         rf"{first.seed} and w None repeat line 2$"):
+        ul.read_metrics_csv(path)
+
+
 def test_write_report_files_and_manifest(tmp_path, tiny_cfg, tiny_run):
     out = tmp_path / "report"
     written = ul.write_report(tiny_run, out)

@@ -661,6 +661,55 @@ def test_train_checks_every_row_before_the_first_step(toy):
         ul.train(toy.base, toy.narrow_pool(), toy.train_idx, cfg)
 
 
+# ------------------------------------------------------------ cache alignment
+
+@pytest.mark.parametrize("dtype", [np.float64, np.bool_])
+@pytest.mark.parametrize("shape", [(1,), (3, 5), (65, 256), (11018,)])
+def test_aligned_arrays_start_on_a_cache_line(shape, dtype):
+    for _ in range(20):
+        a = models._aligned(shape, dtype)
+        assert a.ctypes.data % 64 == 0
+        assert a.shape == shape and a.dtype == dtype
+        assert a.flags.c_contiguous and a.flags.writeable
+
+
+@pytest.mark.parametrize("arch", [
+    ul.ArchitectureSpec("linear", 5, 3),
+    ul.ArchitectureSpec("mlp1", 5, 3, hidden_dim=7, activation="tanh"),
+    ul.ArchitectureSpec("mlp1", 5, 3, hidden_dim=7, activation="relu"),
+], ids=["linear", "tanh", "relu"])
+def test_every_array_a_step_touches_starts_on_a_cache_line(arch, monkeypatch):
+    # 5 features and 7 hidden units: no row is a whole number of cache
+    # lines, so a buffer's leading rows are aligned only if it is
+    rng = np.random.default_rng(0)
+    pool = ul.Dataset(rng.normal(size=(150, 5)), rng.integers(1, 4, size=150), 3)
+    real, steps = models._Kernel.step, []
+
+    def checked(kernel, x, *args):
+        real(kernel, x, *args)
+        assert np.shares_memory(x, kernel.ws.bufs["x"]), "the step's rows are the row buffer"
+        arrays = {"theta": kernel.model.theta, "velocity": kernel.velocity,
+                  "tmp": kernel.tmp, "grad": kernel.ws.grad, "rows": x, **kernel.ws.bufs}
+        steps.append(x.shape[0])
+        assert {name: a.ctypes.data % 64 for name, a in arrays.items()} == \
+            dict.fromkeys(arrays, 0)
+
+    monkeypatch.setattr(models._Kernel, "step", checked)
+    model = ul.init_model(arch, seed=0)
+    # 64-row steps and a short last batch of 22, then 1-row steps with L1
+    ul.train(model, pool, np.arange(150), ul.TrainConfig(epochs=1, batch_size=64, lr=0.1))
+    ul.train(model, pool, np.arange(3), ul.TrainConfig(epochs=1, batch_size=1, lr=0.1),
+             loss=ul.LossSpec("ce_hard", l1_weight=0.1))
+    assert steps == [64, 64, 22, 1, 1, 1]
+    # paired steps: 1 forget row over 64 retain rows, hard and soft targets
+    splits = ul.make_splits(pool, pool, 0.1, seed=0)
+    for method in ("neggrad_plus", "regun"):
+        steps.clear()
+        cfg = ul.UnlearnConfig(method, lr=0.1, epochs=1, batch_size=1, retain_batch_size=64)
+        ul.unlearn(model, splits, pool, cfg)
+        assert steps == [65] * splits.forget.size
+
+
 # ------------------------------------------------------------------ checkpoint
 
 
