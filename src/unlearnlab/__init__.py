@@ -22,23 +22,21 @@ from .data import (
     sample_minibatch,
     write_csv,
 )
-from .harness import (
-    AggregateRow,
+from .config import (
     ExperimentConfig,
-    GridResult,
     MethodGrid,
-    MetricsReport,
-    RunResult,
-    SeedContext,
-    SweepPoint,
     config_from_dict,
     config_to_dict,
     default_config,
+    load_config,
+)
+from .harness import (
+    GridResult,
+    RunResult,
+    SeedContext,
     derive_seed,
     evaluate_model,
-    load_config,
     prepare_seed,
-    read_metrics_csv,
     run_experiment,
     select_hyperparams,
     sweep_tradeoff,
@@ -46,6 +44,7 @@ from .harness import (
 )
 from .metrics import (
     AttackScores,
+    MetricsReport,
     accuracy,
     aggregate_seeds,
     attack_auc,
@@ -76,6 +75,7 @@ from .models import (
     unpack_params,
 )
 from .reference import CoverageError, RefDistConfig, build_refdist, match_histogram
+from .report import AggregateRow, SweepPoint, read_metrics_csv
 from .unlearn import (
     METHODS,
     UnlearnConfig,

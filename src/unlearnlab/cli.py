@@ -19,27 +19,24 @@ import os
 import sys
 from dataclasses import replace
 
+from .config import default_config, load_config
 from .harness import (
     DEFAULT_SWEEP_WS,
     W_METHODS,
     _mapper,
     aggregate_rows,
-    default_config,
     evaluate_model,
-    load_config,
     method_grid_configs,
     prepare_seed,
-    read_metrics_csv,
     run_experiment,
     score_base_and_retrain,
     sweep_tradeoff,
-    write_aggregated_csv,
-    write_metrics_csv,
     write_report,
 )
 from .metrics import with_gaps
 from .models import load_checkpoint, save_checkpoint
-from .textio import _text
+from .report import (checkpoint_row_names, read_metrics_csv, report_paths, write_aggregated_csv,
+                     write_metrics_csv)
 from .unlearn import METHODS, unlearn
 
 
@@ -92,17 +89,9 @@ def cmd_unlearn(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = _config_from_args(args)
     seed = cfg.seeds[0]
-    # each row is named after its checkpoint's file stem, so the stems
-    # must be CSV cells, distinct and not the seed's own rows; every
-    # checkpoint is read before the seed is trained, so a bad one fails
-    # at once
-    names = [os.path.splitext(os.path.basename(path))[0] for path in args.checkpoints]
-    for name in names:
-        _text(name)
-    clashes = sorted({n for n in names if names.count(n) > 1 or n in ("base", "retrain")})
-    if clashes:
-        raise ValueError(f"checkpoints named {clashes}: each row takes its checkpoint's "
-                         "file stem, which must be distinct and neither base nor retrain")
+    # every checkpoint is named and read before the seed is trained, so
+    # a bad one fails at once
+    names = checkpoint_row_names(args.checkpoints)
     models = [(name, load_checkpoint(path)) for name, path in zip(names, args.checkpoints)]
     with _mapper(1):
         ctx = prepare_seed(cfg, seed)
@@ -111,7 +100,7 @@ def cmd_evaluate(args) -> int:
         for name, model in models:
             rows.append(with_gaps(evaluate_model(name, model, ctx), retrain))
     os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, "metrics.csv")
+    out_path = report_paths(args.out).metrics
     write_metrics_csv(rows, out_path)
     for r in rows:
         print(_acc_line(r.method, r))
@@ -167,13 +156,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
-    metrics_path = os.path.join(args.out, "metrics.csv")
-    rows = read_metrics_csv(metrics_path)
+    paths = report_paths(args.out)
+    rows = read_metrics_csv(paths.metrics)
     if not rows:
-        raise ValueError(f"{metrics_path}: no rows to aggregate")
-    out_path = os.path.join(args.out, "aggregated.csv")
-    write_aggregated_csv(aggregate_rows(rows), out_path)
-    print(f"wrote {out_path}")
+        raise ValueError(f"{paths.metrics}: no rows to aggregate")
+    write_aggregated_csv(aggregate_rows(rows), paths.aggregated)
+    print(f"wrote {paths.aggregated}")
     return 0
 
 

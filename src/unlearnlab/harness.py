@@ -5,64 +5,34 @@ generates (or loads) data, splits it, trains the base model on
 forget + retain, the retrain oracle on retain only, and the attack
 reference models on fresh draws; every enabled method then runs over its
 hyperparameter grid from the base model, and each result is scored
-against the same-seed oracle.  Reports are plain CSV plus a JSON
-manifest, written so that identical configs produce identical bytes.
+against the same-seed oracle.  config.py holds the config document,
+and report.py writes the results so that identical configs produce
+identical bytes.
 """
 
 from __future__ import annotations
 
 import ctypes
 import glob
-import json
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from itertools import product, zip_longest
-from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .data import (
-    Dataset,
-    DataSplits,
-    GenSpec,
-    generate_gaussian_mixture,
-    load_csv,
-    make_splits,
-)
-from .metrics import (
-    REPORT_FIELDS,
-    AttackScores,
-    MetricsReport,
-    _hits,
-    _percent,
-    _reference_mean,
-    _rmia,
-    _true_label,
-    aggregate_seeds,
-    attack_auc,
-    js_divergence,
-    with_gaps,
-)
-from .models import (
-    ArchitectureSpec,
-    Model,
-    TrainConfig,
-    _log_softmax,
-    _row_blocks,
-    _softmax,
-    forward_logits,
-    forward_probs,
-    init_model,
-    train,
-)
-from .textio import _EXPECTED, _value, check_fields, parse_cell, read_rows, write_rows
+from .config import ExperimentConfig
+from .data import Dataset, DataSplits, generate_gaussian_mixture, load_csv, make_splits
+from .metrics import (AttackScores, MetricsReport, _hits, _percent, _reference_mean, _rmia,
+                      _true_label, aggregate_seeds, attack_auc, js_divergence, with_gaps)
+from .models import (Model, _log_softmax, _row_blocks, _softmax, forward_logits, forward_probs,
+                     init_model, train)
+from .report import (AggregateRow, SweepPoint, report_paths, write_aggregated_csv, write_manifest,
+                     write_metrics_csv, write_sweep_csv)
+from .textio import _value
 from .unlearn import METHOD_TABLE, METHODS, UnlearnConfig, _run_slice
-
-REPORT_FORMAT = "unlearnlab-run v1"
 
 # Methods whose objective mixes a forget and a retain term, in METHODS
 # order; for the others w is meaningless and collapses to a single grid
@@ -99,255 +69,6 @@ def derive_seed(seed: int, stream: str, index: int = 0) -> int:
     """Stable child seed for one purpose within one experiment seed."""
     entropy = [seed, _STREAMS[stream], index]
     return int(np.random.SeedSequence(entropy).generate_state(1, dtype=np.uint64)[0])
-
-
-@dataclass(frozen=True)
-class MethodGrid:
-    """Hyperparameter grid for one method.
-
-    Only the axes a method actually reads are expanded: lr always, w and
-    gamma when its record in METHOD_TABLE lists them.  The remaining
-    loader knobs are fixed per method, not swept: ``batch_size`` (None
-    means inherit the base training batch size), ``retain_batch_size``
-    (methods with a w axis) and ``num_matched`` (regun's reference
-    match; None means the per-step forget batch size).
-    """
-
-    lrs: tuple[float, ...] = (0.05,)
-    ws: tuple[float, ...] = (0.5,)
-    gammas: tuple[float, ...] = (0.0,)
-    batch_size: int | None = None
-    retain_batch_size: int | None = None
-    num_matched: int | None = None
-
-    def __post_init__(self):
-        check_fields(self, "grid ")
-        if not self.lrs or not self.ws or not self.gammas:
-            raise ValueError("grid axes must be non-empty")
-        if not all(math.isfinite(lr) and lr > 0 for lr in self.lrs):
-            raise ValueError("grid lrs must be finite and > 0")
-        if any(not (0.0 <= w <= 1.0) for w in self.ws):
-            raise ValueError("grid ws must lie in [0, 1]")
-        if not all(math.isfinite(g) and g >= 0 for g in self.gammas):
-            raise ValueError("grid gammas must be finite and >= 0")
-        for axis in ("lrs", "ws", "gammas"):
-            if len(set(getattr(self, axis))) != len(getattr(self, axis)):
-                raise ValueError(f"grid {axis} must be distinct")
-        for name in ("batch_size", "retain_batch_size", "num_matched"):
-            if getattr(self, name) is not None and getattr(self, name) < 1:
-                raise ValueError(f"grid {name} must be >= 1")
-
-
-_DEFAULT_GRID = MethodGrid()
-
-
-@dataclass(frozen=True, eq=False)
-class ExperimentConfig:
-    """Everything a full run depends on.
-
-    Data comes either from the Gaussian-mixture generator (``gen``) or
-    from CSV files; exactly one source must be set.  ``base`` is the
-    training recipe shared by the base model, the retrain oracle, and
-    the attack reference models (its seed field is ignored; per-seed
-    streams are derived).  Unlearning takes lr / w / gamma and the fixed
-    loader knobs from the per-method grids, momentum from ``base``.
-    """
-
-    arch: ArchitectureSpec
-    gen: GenSpec | None = None
-    pool_csv: str | None = None
-    test_csv: str | None = None
-    csv_header: bool = False
-    forget_fraction: float = 0.1
-    base: TrainConfig = TrainConfig(epochs=60, batch_size=64, lr=0.05)
-    unlearn_epochs: int = 10
-    methods: dict[str, MethodGrid] = field(default_factory=dict)
-    seeds: tuple[int, ...] = (0, 1, 2)
-    rmia_refs: int = 4
-
-    def __post_init__(self):
-        check_fields(self)
-        if (self.gen is None) == (self.pool_csv is None):
-            raise ValueError("configure exactly one of gen or pool_csv")
-        if self.pool_csv is not None and self.test_csv is None:
-            raise ValueError("CSV data needs both pool_csv and test_csv")
-        if self.gen is not None:
-            if self.gen.num_classes != self.arch.num_classes:
-                raise ValueError("gen and arch disagree on num_classes")
-            if self.gen.input_dim != self.arch.input_dim:
-                raise ValueError("gen and arch disagree on input_dim")
-        if not (0.0 < self.forget_fraction < 1.0):
-            raise ValueError("forget_fraction must lie strictly in (0, 1)")
-        if self.unlearn_epochs < 0:
-            raise ValueError("unlearn_epochs must be >= 0")
-        if not self.seeds:
-            raise ValueError("need at least one seed")
-        if any(s < 0 for s in self.seeds):
-            raise ValueError("seeds must be >= 0")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ValueError("seeds must be distinct")
-        if self.rmia_refs < 1:
-            raise ValueError("rmia_refs must be >= 1")
-        for name, grid in self.methods.items():
-            if name not in METHODS:
-                raise ValueError(f"unknown method {name!r} in config")
-            if not isinstance(grid, MethodGrid):
-                raise ValueError(f"method {name!r} needs a MethodGrid")
-            spec = METHOD_TABLE[name]
-            for axis in ("w", "gamma"):
-                key, default = axis + "s", getattr(_DEFAULT_GRID, axis + "s")
-                if axis not in spec.axes and getattr(grid, key) != default:
-                    raise ValueError(
-                        f"config key methods.{name}.{key}: {name} does not sweep "
-                        f"{axis}; leave {key} out or at its default {list(default)}")
-            # the loader knobs of the paired loop and of the reference match
-            for key, reads in (("retain_batch_size", "w" in spec.axes),
-                               ("num_matched", spec.forget_loss == "kl_to_target")):
-                if not reads and getattr(grid, key) is not None:
-                    raise ValueError(f"config key methods.{name}.{key}: {name} does not "
-                                     f"read {key}; leave it out")
-
-
-def default_config() -> ExperimentConfig:
-    """The desk-scale task: a 10-class mixture a small MLP can memorize.
-
-    Calibrated so the base model memorizes its training rows (forget
-    accuracy 100, membership AUCs well above chance) while a retrained
-    oracle scores at chance, and so reference-guided unlearning can
-    close the gap without wrecking test accuracy.  That needs isolated
-    training points: few samples per class, a wide hidden layer, and
-    moderate class overlap.  The reference-distillation grid uses
-    single-row forget batches, which make the matched reference target
-    class-conditional instead of a batch-level class mixture; the mixed
-    ascent baseline gets the same loader so its forget term sees enough
-    steps to matter within the small epoch budget.
-    """
-    arch = ArchitectureSpec("mlp1", input_dim=32, num_classes=10,
-                            hidden_dim=256, activation="tanh")
-    gen = GenSpec(num_classes=10, input_dim=32, samples_per_class=120,
-                  centroid_scale=3.0, noise_sigma=1.2)
-    base = TrainConfig(epochs=40, batch_size=64, lr=0.05)
-    methods = {
-        "regun": MethodGrid(lrs=(0.01, 0.02), ws=(0.85, 0.9),
-                            batch_size=1, num_matched=16,
-                            retain_batch_size=64),
-        "neggrad": MethodGrid(lrs=(0.002, 0.005, 0.01)),
-        "neggrad_plus": MethodGrid(lrs=(0.02, 0.05), ws=(0.85, 0.9, 0.95, 0.99),
-                                   batch_size=1, retain_batch_size=64),
-        "finetune": MethodGrid(lrs=(0.02, 0.05)),
-        "l1_sparse": MethodGrid(lrs=(0.05,), gammas=(5e-5, 5e-4)),
-    }
-    return ExperimentConfig(arch=arch, gen=gen, base=base, methods=methods)
-
-
-# A config document holds every dataclass field except those the
-# experiment sets itself: per-seed streams come from derive_seed, the
-# generator's shape from arch, and the data source from the "data"
-# object, whose CSV keys name the fields in _CSV_KEYS.
-_DERIVED = {"seed", "gen", "pool_csv", "test_csv", "csv_header"}
-_ARCH_FIELDS = {f.name for f in fields(ArchitectureSpec)}
-_CSV_KEYS = {"pool": "pool_csv", "test": "test_csv", "header": "csv_header"}
-
-
-def _config_keys(cls) -> dict:
-    """{document key: field name} for the fields of ``cls`` a config holds."""
-    skip = _DERIVED if cls is ArchitectureSpec else _DERIVED | _ARCH_FIELDS
-    return {f.name: f.name for f in fields(cls) if f.name not in skip}
-
-
-def _plain(value):
-    """A config value as JSON: a dataclass becomes an object of its
-    config keys with None knobs left out, a tuple becomes a list."""
-    if is_dataclass(value):
-        return {k: _plain(getattr(value, k)) for k in _config_keys(type(value))
-                if getattr(value, k) is not None}
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in sorted(value.items())}
-    return list(value) if isinstance(value, tuple) else value
-
-
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    """Plain-type mirror of the config, suitable for JSON."""
-    if cfg.gen is not None:
-        data = {"source": "gaussian", **_plain(cfg.gen)}
-    else:
-        data = {"source": "csv",
-                **{k: getattr(cfg, f) for k, f in _CSV_KEYS.items()}}
-    return {**_plain(cfg), "data": data}
-
-
-def _read(cls, doc: dict, defaults, path: str, keys=None) -> dict:
-    """Keyword arguments for ``cls`` from the object ``doc``.
-
-    ``keys`` maps each allowed document key to its field (default
-    ``_config_keys(cls)``); an absent key takes the field's value in
-    ``defaults``.  ``path`` prefixes key names in error messages.
-    """
-    keys = keys or _config_keys(cls)
-    unknown = sorted(set(doc) - set(keys))
-    if unknown:
-        kind = "grid" if cls is MethodGrid else "config"
-        raise ValueError(f"unknown {kind} keys: {[path + k for k in unknown]}")
-    hints = get_type_hints(cls)
-    return {f: _typed(hints[f], doc[k], path + k, getattr(defaults, f))
-            if k in doc else getattr(defaults, f) for k, f in keys.items()}
-
-
-def _typed(hint, value, path: str, default=None):
-    """``value`` as a field of type ``hint``: a list becomes a tuple and an
-    object a dataclass (absent keys from ``default``) or a dict of them;
-    the rest must pass ``textio._value`` and, as floats, be finite."""
-    origin, args = get_origin(hint), get_args(hint)
-    if origin is tuple and isinstance(value, list):
-        return tuple(_typed(args[0], v, f"{path}[{i}]")
-                     for i, v in enumerate(value))
-    if origin is dict and isinstance(value, dict):
-        return {k: _typed(args[1], v, f"{path}.{k}", args[1]())
-                for k, v in value.items()}
-    if is_dataclass(hint) and isinstance(value, dict):
-        return hint(**_read(hint, value, default, path + "."))
-    value = _value(hint, value, f"config key {path}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"config key {path}: expected {_EXPECTED[float]}, got {value!r}")
-    return value
-
-
-def config_from_dict(doc: dict) -> ExperimentConfig:
-    """Build a config from a JSON-style dict, filling defaults.
-
-    Unknown keys raise at every level so typos do not silently fall back
-    to defaults, and each value must have its field's type (see
-    ``_typed``); both raise ValueError naming the key.
-    """
-    defaults = default_config()
-    doc = dict(_value(dict, doc, "config"))
-    data = dict(_value(dict, doc.pop("data", {}), "config key data"))
-    source = data.pop("source", "gaussian")
-    kwargs = _read(ExperimentConfig, doc, defaults, "")
-    if source == "gaussian":
-        arch = kwargs["arch"]
-        shape = {f.name: getattr(arch, f.name) for f in fields(GenSpec)
-                 if f.name in _ARCH_FIELDS}
-        kwargs["gen"] = GenSpec(**shape, **_read(GenSpec, data, defaults.gen, "data."))
-    elif source == "csv":
-        kwargs.update(_read(ExperimentConfig, data, defaults, "data.", _CSV_KEYS))
-        for key in ("pool", "test"):
-            if kwargs[_CSV_KEYS[key]] is None:
-                raise ValueError(f"config key data.{key}: the csv source needs a file path")
-    else:
-        raise ValueError(f"unknown data source {source!r}")
-    return ExperimentConfig(**kwargs)
-
-
-def load_config(path) -> ExperimentConfig:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid JSON config: {exc}") from None
-    return config_from_dict(doc)
 
 
 # The splits a report scores, in evaluation order, and the two the
@@ -748,16 +469,6 @@ def select_hyperparams(grid_results, base_val_acc: float) -> dict:
     return selected
 
 
-@dataclass(frozen=True)
-class AggregateRow:
-    """Seed-aggregated statistics for one table row."""
-
-    method: str
-    w: float | None
-    n_seeds: int
-    stats: dict
-
-
 @dataclass(frozen=True, eq=False)
 class RunResult:
     """Everything run_experiment produced, pre-serialization."""
@@ -848,21 +559,6 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunResult:
     )
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    """One w value of the forgetting/utility trade-off curve."""
-
-    method: str
-    w: float
-    n_seeds: int
-    test_acc_mean: float
-    test_acc_std: float
-    rmia_auc_mean: float
-    rmia_auc_std: float
-    gap_tp_mean: float
-    gap_tp_std: float
-
-
 def sweep_tradeoff(cfg: ExperimentConfig, method: str, w_grid,
                    result: RunResult | None = None,
                    workers: int = 1):
@@ -910,91 +606,21 @@ def sweep_tradeoff(cfg: ExperimentConfig, method: str, w_grid,
         stats = aggregate_seeds(reports)
         # the statistic fields are named <report field>_mean / _std
         points.append(SweepPoint(method, w, len(reports), **{
-            name: stats[name.rpartition("_")[0]][name.endswith("_std")]
-            for name in SWEEP_HEADER[3:]}))
+            f.name: stats[f.name.rpartition("_")[0]][f.name.endswith("_std")]
+            for f in fields(SweepPoint)[3:]}))
     return points
 
 
-# ---------------------------------------------------------------------------
-# Report files, in the row format of textio.  All row orders are fixed,
-# so identical runs write identical bytes.
-
-METRICS_HEADER = tuple(f.name for f in fields(MetricsReport))
-
-SWEEP_HEADER = tuple(f.name for f in fields(SweepPoint))
-
-AGGREGATED_HEADER = ("method", "w", "n_seeds") + tuple(
-    f"{name}_{stat}" for name in REPORT_FIELDS for stat in ("mean", "std"))
-
-# The UnlearnConfig fields the manifest records for each selected method.
-_SELECTED_KEYS = [f.name for f in fields(UnlearnConfig) if f.name not in ("method", "seed")]
-
-
-def write_metrics_csv(rows, path) -> None:
-    write_rows(path, ([getattr(r, c) for c in METRICS_HEADER] for r in rows),
-               header=METRICS_HEADER)
-
-
-def read_metrics_csv(path):
-    """Parse a metrics CSV back into MetricsReport rows.  A row that
-    repeats an earlier one's (method, seed, w), which would count its
-    seed twice, is refused with both line numbers."""
-    lines = read_rows(path)
-    if tuple(next(lines, (0, ()))[1]) != METRICS_HEADER:
-        raise ValueError(f"{path}: not a metrics CSV")
-    hints = get_type_hints(MetricsReport)
-    rows, first = [], {}
-    for lineno, cells in lines:
-        where = f"{path} line {lineno}"
-        values = {name: parse_cell(hints[name], cell, where)
-                  for name, cell in zip(METRICS_HEADER, cells)}
-        try:
-            row = MetricsReport(**values)
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
-        key = (row.method, row.seed, row.w)
-        if key in first:
-            raise ValueError(f"{where}: method {row.method!r}, seed {row.seed} and w "
-                             f"{row.w} repeat line {first[key]}")
-        first[key] = lineno
-        rows.append(row)
-    return rows
-
-
-def write_aggregated_csv(aggregates, path) -> None:
-    write_rows(path, (
-        [agg.method, agg.w, agg.n_seeds,
-         *(x for name in REPORT_FIELDS for x in agg.stats[name])]
-        for agg in aggregates), header=AGGREGATED_HEADER)
-
-
 def write_report(result: RunResult, out_dir, sweep_points=None) -> list:
-    """Write metrics.csv, aggregated.csv, optional sweep.csv, and the
-    run manifest into ``out_dir``.  Returns the written paths."""
+    """Write the run's rows, aggregates, optional sweep points and
+    manifest into ``out_dir`` as report.py lays them out.  Returns the
+    written paths."""
     os.makedirs(out_dir, exist_ok=True)
-    written = []
-
-    def out(name):
-        written.append(os.path.join(out_dir, name))
-        return written[-1]
-
-    write_metrics_csv(result.rows, out("metrics.csv"))
-    write_aggregated_csv(result.aggregates, out("aggregated.csv"))
+    paths = report_paths(out_dir)
+    write_metrics_csv(result.rows, paths.metrics)
+    write_aggregated_csv(result.aggregates, paths.aggregated)
     if sweep_points is not None:
-        write_rows(out("sweep.csv"), ([getattr(p, c) for c in SWEEP_HEADER]
-                                      for p in sweep_points), header=SWEEP_HEADER)
-    manifest = {
-        "format": REPORT_FORMAT,
-        "config": config_to_dict(result.config),
-        "seeds": list(result.config.seeds),
-        "selection_rule": SELECTION_RULE,
-        "selected": {
-            method: {k: getattr(ucfg, k) for k in _SELECTED_KEYS}
-            for method, ucfg in sorted(result.selected.items())
-        },
-        "failures": [asdict(f) for f in result.failures],
-    }
-    with open(out("manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return written
+        write_sweep_csv(sweep_points, paths.sweep)
+    write_manifest(result.config, SELECTION_RULE, result.selected, result.failures,
+                   paths.manifest)
+    return [p for p in paths if p != paths.sweep or sweep_points is not None]

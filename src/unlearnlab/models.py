@@ -474,16 +474,18 @@ def loss_and_grad(model: Model, x: np.ndarray, y, spec: LossSpec):
 
 def _loop_rows(model: Model, data, spec: LossSpec, *index_sets):
     """Check once, for every row of the index sets, what ``loss_and_grad``
-    checks per batch (feature width; labels for the hard-label kinds).
+    checks per batch (feature width; labels for the hard-label kinds),
+    and that each index i names a row of ``data``: 0 <= i < n.
     Returns the features and the zero-based labels of the whole dataset
     (None for the soft-target kinds), which a loop indexes by batch."""
-    x = _check_inputs(model, data.features)
-    if spec.kind not in HARD_LABEL_KINDS:
-        return x, None
-    k = model.arch.num_classes
+    x, hard = _check_inputs(model, data.features), spec.kind in HARD_LABEL_KINDS
     for idx in index_sets:
-        _check_labels(data.labels[idx], k, idx.size)
-    return x, np.asarray(data.labels).astype(np.int64) - 1
+        bad = idx[(idx < 0) | (idx >= len(x))]
+        if bad.size:
+            raise ValueError(f"row index {bad[0]} is outside the data's {len(x)} rows")
+        if hard:
+            _check_labels(data.labels[idx], model.arch.num_classes, idx.size)
+    return x, np.asarray(data.labels).astype(np.int64) - 1 if hard else None
 
 
 @dataclass(frozen=True, eq=False)

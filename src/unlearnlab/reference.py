@@ -85,7 +85,7 @@ def build_refdist(forget_labels, pool: Dataset, held_out,
     forget_labels : labels of the current forget batch, values in
         [1, num_classes]
     pool : the training pool dataset
-    held_out : index array of held-out rows within ``pool``
+    held_out : index array of held-out rows within ``pool``, each in [0, n)
     reference_model : model whose predictive distributions are averaged;
         any Model works, the caller decides what to freeze
     config : RefDistConfig
@@ -105,6 +105,10 @@ def build_refdist(forget_labels, pool: Dataset, held_out,
     held_out = np.asarray(held_out, dtype=np.int64)
     if held_out.size == 0:
         raise ValueError("held-out index set is empty")
+    bad = held_out[(held_out < 0) | (held_out >= pool.num_samples)]
+    if bad.size:
+        raise ValueError(f"held-out row index {bad[0]} is outside the pool's "
+                         f"{pool.num_samples} rows")
     k = pool.num_classes
     if reference_model.arch.num_classes != k:
         raise ValueError("reference model and pool disagree on num_classes")

@@ -13,17 +13,15 @@ from hypothesis import strategies as st
 
 import unlearnlab as ul
 from unlearnlab import cli, harness
+from unlearnlab.config import MethodGrid
 from unlearnlab.harness import (
     GridResult,
-    METRICS_HEADER,
-    MethodGrid,
     SELECTION_RULE,
     W_METHODS,
     aggregate_rows,
     method_grid_configs,
-    write_aggregated_csv,
-    write_metrics_csv,
 )
+from unlearnlab.report import METRICS_HEADER, write_aggregated_csv, write_metrics_csv
 from unlearnlab.metrics import REPORT_FIELDS
 from unlearnlab.unlearn import METHOD_TABLE
 

@@ -453,6 +453,22 @@ def test_train_rejects_empty_indices(toy):
                  ul.TrainConfig(epochs=1, batch_size=4, lr=0.1))
 
 
+@pytest.mark.parametrize("loss", [None, ul.LossSpec("ce_soft", soft_target=np.full(3, 1 / 3))],
+                         ids=["ce_hard", "ce_soft"])
+@pytest.mark.parametrize("end", [False, True], ids=["minus_one", "n"])
+def test_train_refuses_an_out_of_range_row_before_the_first_step(toy, loss, end, monkeypatch):
+    # -1 would silently wrap to the last row, and n would fail only at
+    # the step whose batch holds it, with an IndexError
+    n = toy.pool.num_samples
+    bad = n if end else -1
+    steps = []
+    monkeypatch.setattr(models._Kernel, "step", lambda *args: steps.append(args))
+    with pytest.raises(ValueError, match=f"^row index {bad} is outside the data's {n} rows$"):
+        ul.train(toy.base, toy.pool, np.append(toy.train_idx, bad),
+                 ul.TrainConfig(epochs=1, batch_size=4, lr=0.1), loss=loss)
+    assert steps == []
+
+
 # ------------------------------------------------- log-softmax and fast loops
 
 

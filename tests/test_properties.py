@@ -21,7 +21,7 @@ from hypothesis.extra.numpy import arrays
 
 import unlearnlab as ul
 from unlearnlab import AttackScores, LossSpec, UnlearnConfig
-from unlearnlab.harness import METRICS_HEADER, write_metrics_csv
+from unlearnlab.report import METRICS_HEADER, write_metrics_csv
 from unlearnlab.metrics import REPORT_FIELDS
 from unlearnlab.textio import FLOAT_FMT, parse_cell
 

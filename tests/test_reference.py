@@ -168,3 +168,11 @@ def test_refdist_input_validation(toy):
                          wrong_k, ul.RefDistConfig())
     with pytest.raises(ValueError):
         ul.RefDistConfig(num_matched=0)
+
+
+def test_refdist_refuses_a_held_out_row_past_the_pool(toy):
+    n = toy.pool.num_samples
+    held = np.append(toy.splits.held_out, n)
+    with pytest.raises(ValueError,
+                       match=f"^held-out row index {n} is outside the pool's {n} rows$"):
+        ul.build_refdist(np.array([1]), toy.pool, held, toy.base, ul.RefDistConfig())

@@ -2,9 +2,12 @@
 
 import ast
 from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 import pytest
+
+import unlearnlab
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "unlearnlab").glob("*.py"))
 
@@ -20,7 +23,59 @@ def test_no_module_rebinds_its_globals(path):
 
 
 def test_the_source_list_is_the_package():
-    assert {p.name for p in SOURCES} >= {"__init__.py", "harness.py", "unlearn.py"}
+    assert {p.name for p in SOURCES} >= {"__init__.py", "config.py", "harness.py", "report.py",
+                                         "unlearn.py"}
+
+
+def parsed(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def test_only_report_names_the_report_files():
+    # every file a run writes is named in report.py alone
+    names = {"metrics.csv", "aggregated.csv", "sweep.csv", "manifest.json"}
+    found = {(node.value, path.name) for path in SOURCES for node in ast.walk(parsed(path))
+             if isinstance(node, ast.Constant) and node.value in names}
+    assert found == {(name, "report.py") for name in names}
+
+
+@pytest.mark.parametrize("name", ["config.py", "report.py"])
+def test_the_format_modules_import_nothing_from_the_runner(name):
+    # relative or absolute, of the module or from it
+    path = next(p for p in SOURCES if p.name == name)
+    imported = [node.module or alias.name if isinstance(node, ast.ImportFrom) else alias.name
+                for node in ast.walk(parsed(path))
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+    assert "textio" in imported
+    assert [m for m in imported if "harness" in m.split(".")] == []
+
+
+# unlearnlab's public names that are not modules; a split or move in src
+# must keep every one of them
+PUBLIC_NAMES = [
+    "AggregateRow", "ArchitectureSpec", "AttackScores", "CoverageError", "DataError",
+    "DataSplits", "Dataset", "ExperimentConfig", "GenSpec", "GridResult", "LossSpec",
+    "METHODS", "MethodGrid", "MetricsReport", "Model", "OptState", "RefDistConfig",
+    "RunResult", "SeedContext", "SplitError", "SweepPoint", "TrainConfig",
+    "UnlearnConfig", "accuracy", "aggregate_seeds", "attack_auc", "build_refdist",
+    "class_centroids", "class_histogram", "config_from_dict", "config_to_dict",
+    "default_config", "derive_seed", "evaluate_model", "finetune", "forward_log_probs",
+    "forward_logits", "forward_probs", "gap_report", "generate_gaussian_mixture",
+    "init_model", "init_opt_state", "js_divergence", "js_divergence_avg",
+    "kl_divergence", "l1_sparse", "load_checkpoint", "load_config", "load_csv",
+    "loss_and_grad", "make_splits", "match_histogram", "neggrad", "neggrad_plus",
+    "prepare_seed", "read_metrics_csv", "regun", "rmia_lite_scores", "round_half_up",
+    "run_experiment", "sample_minibatch", "save_checkpoint", "select_hyperparams",
+    "sgd_step", "smia_scores", "sweep_tradeoff", "train", "unlearn", "unpack_params",
+    "with_gaps", "write_csv", "write_report",
+]
+
+
+def test_the_public_names_are_pinned():
+    names = sorted(name for name in dir(unlearnlab) if not name.startswith("_")
+                   and not isinstance(getattr(unlearnlab, name), ModuleType))
+    assert len(PUBLIC_NAMES) == 72
+    assert names == PUBLIC_NAMES
 
 
 def test_the_step_kernel_allocates_only_through_aligned():

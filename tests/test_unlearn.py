@@ -347,6 +347,14 @@ def test_every_method_refuses_an_empty_walked_set(method, epochs, toy):
         ul.unlearn(toy.base, splits, toy.pool, cfg_for(method, toy, epochs=epochs))
 
 
+def test_finetune_refuses_a_negative_retain_row(toy):
+    # -1 would silently wrap to the pool's last row
+    splits = replace(toy.splits, retain=np.append(toy.splits.retain, -1))
+    n = toy.pool.num_samples
+    with pytest.raises(ValueError, match=f"^row index -1 is outside the data's {n} rows$"):
+        ul.finetune(toy.base, splits, toy.pool, cfg_for("finetune", toy))
+
+
 @pytest.mark.parametrize("method", ["regun", "neggrad_plus"])
 def test_paired_methods_check_feature_width(method, toy):
     cfg = cfg_for(method, toy)
