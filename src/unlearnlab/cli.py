@@ -143,6 +143,7 @@ def cmd_sweep(args) -> int:
     cfg, result = _run_from_args(args)
     if not result.contexts:
         return 1
+    write_report(result, args.out)  # so a failing sweep keeps the run's report
     points = sweep_tradeoff(cfg, args.method, DEFAULT_SWEEP_WS, result=result,
                             workers=args.workers)
     paths = write_report(result, args.out, sweep_points=points)

@@ -399,39 +399,31 @@ def _init_worker() -> None:
 
 
 @contextmanager
-def _one_blas_thread():
-    """This process's OpenBLAS on one thread for the block, its count
-    restored on exit."""
+def _mapper(workers: int):
+    """The built-in ``map`` for one worker, else the ``map`` of one
+    process pool; results come back in input order either way.  Every
+    process that computes runs BLAS on one thread (a serial caller for
+    the block, its OpenBLAS count restored on exit; each pool worker for
+    good; a pooled caller computes nothing), so parallelism comes only
+    from ``workers``, an integer >= 1."""
+    workers = _value(int, workers, "workers")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker) as pool:
+            yield pool.map
+        return
     threads = _openblas_threads()
     if threads is None:
-        yield
+        yield map
         return
     get_threads, set_threads = threads
     before = get_threads()
     set_threads(1)
     try:
-        yield
+        yield map
     finally:
         set_threads(before)
-
-
-@contextmanager
-def _mapper(workers: int):
-    """The built-in ``map`` for one worker, else the ``map`` of one
-    process pool; results come back in input order either way.  Every
-    process that computes runs BLAS on one thread (a serial caller for
-    the block, each pool worker for good; a pooled caller computes
-    nothing), so parallelism comes only from ``workers``, an integer
-    >= 1."""
-    workers = _value(int, workers, "workers")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if workers == 1:
-        with _one_blas_thread():
-            yield map
-    else:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker) as pool:
-            yield pool.map
 
 
 def _combo_key(config: UnlearnConfig) -> tuple:

@@ -123,58 +123,46 @@ class UnlearnConfig:
         )
 
 
-def _run(name: str, model: Model, splits: DataSplits, data: Dataset,
-         cfg: UnlearnConfig, reference: Model | None = None, build_plan=None) -> Model:
-    """Run the method METHOD_TABLE[name] describes: replay the step plan
-    of ``build_plan`` (default _build_plan; a slice passes one that
-    builds it once, see _run_slice) on one ``_Kernel``.
+def _run(name: str, model: Model, cfg: UnlearnConfig, x, y0, plan) -> Model:
+    """One point of a slice (_run_slice): replay the step plan ``plan``
+    of the method METHOD_TABLE[name] from ``model`` on one ``_Kernel``,
+    with cfg's lr, momentum, w and gamma and the rows ``x``, ``y0`` that
+    ``_loop_rows`` checked.
 
     A plain step weighs its n rows 1/n, as ``train`` does; a paired step
     stacks its n_f forget rows over its n_r retain rows, weighing
     (1 - w) / n_f and w / n_r.  Forget weights are negated for
     "neg_ce_hard", and gamma is the L1 weight when the record lists it.
-    The features and labels of every row a step reads are checked once,
-    after the empty-set and zero-budget cases and before the plan.
     """
     method = METHOD_TABLE[name]
-    rows = np.asarray(getattr(splits, method.rows), dtype=np.int64)
-    if rows.size == 0:
-        raise ValueError(f"{method.rows} index set is empty")
-    if cfg.epochs == 0:
-        return model
-    paired = [np.asarray(splits.retain, dtype=np.int64)] if "w" in method.axes else []
-    x, y0 = _loop_rows(model, data, LossSpec("ce_hard"), rows, *paired)
-    plan = (build_plan or _build_plan)(data, splits, cfg, method,
-                                       model if reference is None else reference)
+    batches, retain, targets = plan
     sign = -1.0 if method.forget_loss == "neg_ce_hard" else 1.0
     l1 = cfg.gamma if "gamma" in method.axes else 0.0
     weights = {}  # a paired step's (n_f + n_r, 1) row weights by forget batch size
     kernel = _Kernel(model, cfg.lr, cfg.momentum)
-    start = 0
-    for t, stop in enumerate(plan.stops):
-        batch, start = plan.order[start:stop], stop
+    for t, batch in enumerate(batches):
         n = batch.size
-        if plan.retain is None:
+        if retain is None:
             kernel.step(kernel.rows(x, batch), y0[batch], sign / n, None, l1)
             continue
-        batch_r = plan.retain[t]
+        batch_r = retain[t]
         if n not in weights:
             w_f, n_r = sign * (1.0 - cfg.w) / n, batch_r.size
             weights[n] = np.repeat([w_f, cfg.w / n_r], [n, n_r])[:, np.newaxis]
         rows = kernel.rows(x, batch, batch_r)
         # a planned target row stands for every forget row of its step,
         # checked when the plan was built
-        if plan.targets is None:
+        if targets is None:
             kernel.step(rows, y0[np.concatenate((batch, batch_r))], weights[n], None, l1)
         else:
-            kernel.step(rows, y0[batch_r], weights[n], plan.targets[t], l1)
+            kernel.step(rows, y0[batch_r], weights[n], targets[t], l1)
     return kernel.model
 
 
 def finetune(model: Model, splits: DataSplits, data: Dataset,
              cfg: UnlearnConfig) -> Model:
     """Continue ordinary training on the retain set only."""
-    return _run("finetune", model, splits, data, cfg)
+    return next(_run_slice(model, splits, data, [cfg], name="finetune"))
 
 
 def l1_sparse(model: Model, splits: DataSplits, data: Dataset,
@@ -184,7 +172,7 @@ def l1_sparse(model: Model, splits: DataSplits, data: Dataset,
     gamma == 0 reproduces finetune exactly, bit for bit: both run the
     same code with the same LossSpec.
     """
-    return _run("l1_sparse", model, splits, data, cfg)
+    return next(_run_slice(model, splits, data, [cfg], name="l1_sparse"))
 
 
 def neggrad(model: Model, splits: DataSplits, data: Dataset,
@@ -194,27 +182,17 @@ def neggrad(model: Model, splits: DataSplits, data: Dataset,
     Runs NEGGRAD_EPOCHS epochs whatever budget the config carries,
     except that epochs == 0 stays a no-op like every other method.
     """
-    return _run("neggrad", model, splits, data, cfg)
+    return next(_run_slice(model, splits, data, [cfg], name="neggrad"))
 
 
-@dataclass(frozen=True, eq=False)
-class _StepPlan:
-    """Everything a method's run draws, ahead of its first step: step t,
-    counted over all epochs, takes the walked rows ``order[stops[t - 1]:
-    stops[t]]`` (from 0 at t = 0), one batch of ``_batches``, and when
-    paired the retain rows ``retain[t]`` and, for "kl_to_target", the
-    reference distribution ``targets[t]`` (each None otherwise).  The
-    arrays are read-only: a slice's points replay one plan (_run_slice).
-    """
+def _build_plan(data, splits, cfg, method, reference) -> tuple:
+    """The step plan (batches, retain, targets) of a method's run, all
+    read-only arrays: step t, counted over all epochs, takes the walked
+    rows ``batches[t]``, one batch of ``_batches``, and when paired the
+    retain rows ``retain[t]`` and, for "kl_to_target", the reference
+    distribution ``targets[t]`` (each table None otherwise).
 
-    order: np.ndarray
-    stops: np.ndarray
-    retain: np.ndarray | None
-    targets: np.ndarray | None
-
-
-def _build_plan(data, splits, cfg, method, reference) -> _StepPlan:
-    """Consume ``default_rng(cfg.seed)`` as the method's loop always has:
+    Consumes ``default_rng(cfg.seed)`` as the method's loop always has:
     the epoch shuffles of ``_batches`` over the walked rows, and per
     paired step the retain batch draw, then, for "kl_to_target",
     build_refdist's held-out picks with the frozen ``reference``.  The
@@ -227,19 +205,15 @@ def _build_plan(data, splits, cfg, method, reference) -> _StepPlan:
     rows = np.asarray(getattr(splits, method.rows), dtype=np.int64)
     epochs = cfg.epochs if not cfg.epochs or method.epochs is None else method.epochs
     steps = epochs * -(-rows.size // cfg.batch_size)
-    order = np.empty(epochs * rows.size, dtype=np.int64)
-    stops = np.empty(steps, dtype=np.int64)
     retain = targets = None
     if "w" in method.axes:
         retain = np.empty((steps, cfg.retain_batch_size or cfg.batch_size), dtype=np.int64)
     if method.forget_loss == "kl_to_target":
         targets = np.empty((steps, data.num_classes))
         ref_cfg = RefDistConfig(num_matched=cfg.num_matched)
-    stop = 0
+    batches = []
     for t, batch in enumerate(_batches(rows, epochs, cfg.batch_size, rng)):
-        order[stop : stop + batch.size] = batch
-        stop += batch.size
-        stops[t] = stop
+        batches.append(batch)
         if retain is not None:
             retain[t] = sample_minibatch(splits.retain, retain.shape[1], rng)
         if targets is not None:
@@ -247,41 +221,48 @@ def _build_plan(data, splits, cfg, method, reference) -> _StepPlan:
                                        reference, ref_cfg, rng=rng)
     if targets is not None:
         _check_soft_targets(targets)
-    for table in (order, stops, retain, targets):
+    for table in (*batches, retain, targets):
         if table is not None:
             table.setflags(write=False)
-    return _StepPlan(order, stops, retain, targets)
+    return tuple(batches), retain, targets
 
 
 def _run_slice(model: Model, splits: DataSplits, data: Dataset, cfgs,
-               reference: Model | None = None):
-    """Yield the model each config of ``cfgs`` unlearns from ``model``, in order.
+               reference: Model | None = None, name: str | None = None):
+    """Yield, point by point, the model each config of the non-empty
+    list ``cfgs`` unlearns from ``model`` by the method ``name``
+    (default: the configs' own).
 
     The configs are one method's points on one seed and may differ only
-    in lr, w, momentum and gamma, which no step plan reads.  So the
-    method builds its plan once, at the first point that takes a step,
-    and every later point replays it; the plan lives as long as the
-    generator.
+    in lr, w, momentum and gamma, which nothing before the first step
+    reads.  So the slice does once, first to last: the empty-walked-split
+    error, the zero-budget identity (each point yields ``model``), the
+    row checks of ``_loop_rows`` and ``_build_plan``.  Each point then
+    replays the plan (``_run``); the plan lives as long as the generator.
     """
     if len({(c.method, c.seed, c.epochs, c.batch_size, c.retain_batch_size,
              c.num_matched) for c in cfgs}) > 1:
         raise ValueError("a slice's configs may differ only in lr, w, momentum and gamma")
-    plan = None
-
-    def build_plan(*args):
-        nonlocal plan
-        if plan is None:
-            plan = _build_plan(*args)
-        return plan
-
+    name = name or cfgs[0].method
+    method = METHOD_TABLE[name]
+    rows = np.asarray(getattr(splits, method.rows), dtype=np.int64)
+    if rows.size == 0:
+        raise ValueError(f"{method.rows} index set is empty")
+    if cfgs[0].epochs == 0:
+        yield from (model for _ in cfgs)
+        return
+    paired = [np.asarray(splits.retain, dtype=np.int64)] if "w" in method.axes else []
+    x, y0 = _loop_rows(model, data, LossSpec("ce_hard"), rows, *paired)
+    plan = _build_plan(data, splits, cfgs[0], method,
+                       model if reference is None else reference)
     for cfg in cfgs:
-        yield _run(cfg.method, model, splits, data, cfg, reference, build_plan)
+        yield _run(name, model, cfg, x, y0, plan)
 
 
 def neggrad_plus(model: Model, splits: DataSplits, data: Dataset,
                  cfg: UnlearnConfig) -> Model:
     """Ascent on forget batches mixed with descent on retain batches."""
-    return _run("neggrad_plus", model, splits, data, cfg)
+    return next(_run_slice(model, splits, data, [cfg], name="neggrad_plus"))
 
 
 def regun(model: Model, splits: DataSplits, data: Dataset,
@@ -298,7 +279,7 @@ def regun(model: Model, splits: DataSplits, data: Dataset,
     model (for example a retrained oracle) without changing anything
     else.
     """
-    return _run("regun", model, splits, data, cfg, reference)
+    return next(_run_slice(model, splits, data, [cfg], reference, "regun"))
 
 
 def unlearn(model: Model, splits: DataSplits, data: Dataset,

@@ -119,10 +119,10 @@ def _fail_unlearning(monkeypatch, seeds):
     unlearn_module = importlib.import_module("unlearnlab.unlearn")
     doomed, real = {ul.derive_seed(s, "unlearn") for s in seeds}, unlearn_module._run
 
-    def flaky(name, model, splits, data, cfg, *rest):
+    def flaky(name, model, cfg, *rest):
         if cfg.seed in doomed:
             raise RuntimeError(f"synthetic {name}")
-        return real(name, model, splits, data, cfg, *rest)
+        return real(name, model, cfg, *rest)
 
     monkeypatch.setattr(unlearn_module, "_run", flaky)
 
@@ -145,6 +145,29 @@ def test_a_sweep_without_a_surviving_seed_exits_1(cfg_path, tmp_path, capsys,
     assert capsys.readouterr().err.splitlines() == [
         f"seed {s} failed at unlearn:regun: RuntimeError: synthetic regun" for s in (0, 1)]
     assert not out.exists()
+
+
+def test_a_failing_sweep_keeps_the_run_report(cfg_path, tmp_path, capsys, monkeypatch):
+    unlearn_module = importlib.import_module("unlearnlab.unlearn")
+    real = unlearn_module._run
+
+    def flaky(name, model, cfg, *rest):  # fails one w of the sweep, none of the run
+        if cfg.w == 0.3:
+            raise RuntimeError("synthetic w=0.3")
+        return real(name, model, cfg, *rest)
+
+    monkeypatch.setattr(unlearn_module, "_run", flaky)
+    argv = ["--config", cfg_path, "--method", "regun", "--seed", "0", "--out"]
+    assert main(["run", *argv, str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    assert main(["sweep", *argv, str(tmp_path / "sweep")]) == 2
+    assert capsys.readouterr().err == ("error: sweep of regun failed on seed 0 at "
+                                       "unlearn:regun: RuntimeError: synthetic w=0.3\n")
+    names = ["aggregated.csv", "manifest.json", "metrics.csv"]
+    assert sorted(p.name for p in (tmp_path / "sweep").iterdir()) == names
+    for name in names:
+        assert ((tmp_path / "sweep" / name).read_bytes()
+                == (tmp_path / "run" / name).read_bytes())
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])

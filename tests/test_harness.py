@@ -513,10 +513,10 @@ def _fail_points(monkeypatch, doomed):
     unlearn_module = importlib.import_module("unlearnlab.unlearn")
     real = unlearn_module._run
 
-    def flaky(name, model, splits, data, cfg, *rest):
+    def flaky(name, model, cfg, *rest):
         if (cfg.seed, name, cfg.w) in doomed or (cfg.seed, name, None) in doomed:
             raise RuntimeError(f"synthetic {name} w={cfg.w}")
-        return real(name, model, splits, data, cfg, *rest)
+        return real(name, model, cfg, *rest)
 
     monkeypatch.setattr(unlearn_module, "_run", flaky)
 
@@ -725,17 +725,29 @@ def test_slices_are_contiguous_balanced_and_cover_every_point_once(n, count):
 
 def test_a_slice_builds_its_plan_once(tiny_cfg, toy, monkeypatch):
     unlearn_module = importlib.import_module("unlearnlab.unlearn")
-    real, built = unlearn_module._build_plan, []
+    real, built, plans = unlearn_module._build_plan, [], []
+    real_rows, checked = unlearn_module._loop_rows, []
 
     def counted(*args):
         built.append(args[2])
-        return real(*args)
+        plans.append(real(*args))
+        return plans[-1]
+
+    def counted_rows(*args):
+        checked.append(args)
+        return real_rows(*args)
 
     monkeypatch.setattr(unlearn_module, "_build_plan", counted)
+    monkeypatch.setattr(unlearn_module, "_loop_rows", counted_rows)
     cfg = ul.UnlearnConfig("regun", lr=0.05, epochs=2, batch_size=4, seed=3)
     points = [cfg, replace(cfg, lr=0.01, w=0.9), replace(cfg, gamma=0.5, momentum=0.5)]
     models = list(unlearn_module._run_slice(toy.base, toy.splits, toy.pool, points))
     assert built == [cfg]
+    assert len(checked) == 1  # the rows are checked once per slice too
+    batches, retain, targets = plans[0]
+    assert len(batches) == retain.shape[0] == targets.shape[0] > 0
+    assert retain.ndim == targets.ndim == 2
+    assert not any(a.flags.writeable for a in (*batches, retain, targets))
     for point, model in zip(points, models, strict=True):
         alone = ul.regun(toy.base, toy.splits, toy.pool, point)
         assert np.array_equal(model.theta, alone.theta)

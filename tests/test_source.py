@@ -1,6 +1,7 @@
 """Checks on the package source itself rather than on its behaviour."""
 
 import ast
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -48,6 +49,20 @@ def test_the_format_modules_import_nothing_from_the_runner(name):
                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
     assert "textio" in imported
     assert [m for m in imported if "harness" in m.split(".")] == []
+
+
+def absolute_imports(path):
+    for node in ast.walk(parsed(path)):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_the_runtime_needs_numpy_alone():
+    # numpy is the one runtime dependency; scipy stays test-only
+    top = {name.split(".")[0] for path in SOURCES for name in absolute_imports(path)}
+    assert sorted(top - set(sys.stdlib_module_names)) == ["numpy"]
 
 
 # unlearnlab's public names that are not modules; a split or move in src
