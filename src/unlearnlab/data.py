@@ -195,9 +195,9 @@ def make_splits(pool: Dataset, test: Dataset, forget_fraction: float,
     forget = np.sort(perm[n_held : n_held + n_forget])
     val = np.sort(perm[n_held + n_forget : n_held + n_forget + n_val])
     retain = np.sort(perm[n_held + n_forget + n_val :])
-    present = np.unique(pool.labels[held])
-    if present.size != pool.num_classes:
-        missing = sorted(set(range(1, pool.num_classes + 1)) - set(present))
+    counts = class_histogram(pool.labels[held], pool.num_classes)
+    if not counts.all():
+        missing = (np.flatnonzero(counts == 0) + 1).tolist()
         raise SplitError(f"held-out slice is missing classes {missing}")
     return DataSplits(held, forget, val, retain, test)
 

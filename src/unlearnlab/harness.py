@@ -562,7 +562,8 @@ def sweep_tradeoff(cfg: ExperimentConfig, method: str, w_grid,
     ws are cut into slices as ``run_experiment`` cuts a grid, one unit of
     work each, run on the same kind of pool when ``workers`` > 1.  The
     first failing point in w, then seed order raises ValueError naming
-    its seed and stage.  Returns one SweepPoint per w in grid order.
+    its seed and stage; a repeated w raises ValueError up front, as a
+    repeated grid value does.  Returns one SweepPoint per w in grid order.
     """
     if method not in W_METHODS:
         raise ValueError(f"method {method!r} has no w to sweep")
@@ -571,6 +572,8 @@ def sweep_tradeoff(cfg: ExperimentConfig, method: str, w_grid,
     ws = _value(tuple[float, ...], w_grid, "ws")
     if not ws or not all(0.0 <= w <= 1.0 for w in ws):
         raise ValueError(f"ws must be non-empty and lie in [0, 1], got {ws!r}")
+    if len(set(ws)) != len(ws):
+        raise ValueError(f"ws must be distinct, got {ws!r}")
     if result is None:
         result = run_experiment(cfg, workers=workers)
     if method not in result.selected:

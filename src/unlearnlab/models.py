@@ -27,13 +27,15 @@ touches comes from ``_aligned``, starting on a 64-byte cache line: at
 malloc's 16 or 48 bytes past one, AVX-512 ufuncs run up to 2x slower.
 
 Inference forwards go through ``forward_logits``, which cuts a batch of
-more than 1,024 rows into the balanced contiguous blocks of
+more than 256 rows into the balanced contiguous blocks of
 ``_row_blocks``, so its memory is bounded by the block, not the split;
 the harness scores a split in the same blocks.  Both layers add their
 bias in place and the activation overwrites the pre-activation, so a
-forward holds one hidden-layer array.  None of this changes a bit on
-the default shapes; for other shapes OpenBLAS may round a row
-differently depending on how many rows share the call, by about 1e-14.
+forward holds one hidden-layer array (0.5 MB for 256 rows).  None of
+this changes a bit on the default shapes, where any block of 121 rows
+or more gives a single call's bits; for other shapes OpenBLAS may round
+a row differently depending on how many rows share the call, by about
+1e-14.
 Serial and pooled runs cut the same blocks, so they still agree.
 """
 
@@ -232,13 +234,15 @@ def _forward_cached(model: Model, x: np.ndarray, ws=None):
     return logits, a1
 
 
-_BLOCK_ROWS = 1024
+_BLOCK_ROWS = 256
 
 
 def _row_blocks(n: int) -> list:
-    """Row slices cutting ``n`` rows into ceil(n / 1,024) contiguous
+    """Row slices cutting ``n`` rows into ceil(n / 256) contiguous
     blocks of balanced size: one block up to ``_BLOCK_ROWS`` rows, else
-    blocks of 512 to 1,024 rows whose sizes differ by at most one."""
+    blocks of 128 to 256 rows whose sizes differ by at most one.  Do not
+    lower the cap: on the default shapes blocks of 120 rows or fewer can
+    change bits (a cap of 192 did at 7 of ~150 sizes tried)."""
     blocks = -(-n // _BLOCK_ROWS)
     bounds = [i * n // blocks for i in range(blocks + 1)]
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
@@ -247,14 +251,14 @@ def _row_blocks(n: int) -> list:
 def forward_logits(model: Model, x: np.ndarray) -> np.ndarray:
     """Class logits, shape (batch, num_classes).
 
-    A batch of more than ``_BLOCK_ROWS`` (1,024) rows is forwarded in
+    A batch of more than ``_BLOCK_ROWS`` (256) rows is forwarded in
     the blocks of ``_row_blocks``, written into one preallocated array,
     so the hidden-layer array stays bounded whatever the split size.
-    Blocks are kept large because OpenBLAS picks other kernels for small
-    row counts: on the default shapes (32 inputs, 256 hidden units, 10
-    classes) blocked logits equal the single-call logits byte for byte,
-    but for some shapes a row's last bits depend on how many rows share
-    the call (differences near 1e-14).
+    Blocks are kept at 128 rows or more because OpenBLAS picks other
+    kernels for small row counts: on the default shapes (32 inputs, 256
+    hidden units, 10 classes) blocks of 121 rows or more give the
+    single-call logits byte for byte, but for some shapes a row's last
+    bits depend on how many rows share the call (differences near 1e-14).
     """
     x = _check_inputs(model, x)
     blocks = _row_blocks(x.shape[0])
@@ -540,10 +544,14 @@ class _Kernel:
         self.ws = _Workspace(self.model, grad)
 
     def rows(self, x, *parts) -> np.ndarray:
-        """``x[concatenate(parts)]``, gathered into the aligned row buffer."""
+        """``x[concatenate(parts)]``, gathered into the aligned row buffer.
+
+        Every index must already lie in [0, len(x)), as ``_loop_rows``
+        checks before the first step: mode "clip" skips mode "raise"'s
+        bounce buffer, but would clamp an out-of-range index silently."""
         out = self.ws("x", sum(p.size for p in parts), x.shape[1])
         for part, stop in zip(parts, accumulate(p.size for p in parts)):
-            x.take(part, axis=0, out=out[stop - part.size : stop])
+            x.take(part, axis=0, out=out[stop - part.size : stop], mode="clip")
         return out
 
     def step(self, x, y0, weight, target=None, l1_weight: float = 0.0) -> None:

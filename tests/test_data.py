@@ -187,8 +187,8 @@ def test_split_errors():
 
 
 def test_split_rejects_held_out_missing_a_class():
-    # one row of class 4 in a 100-row pool: most permutations leave it
-    # outside the 10-row held-out slice
+    # one row each of classes 1 and 4 in a 100-row pool: most
+    # permutations leave one or both outside the 10-row held-out slice
     feats = np.random.default_rng(0).normal(size=(100, 2))
     labels = np.ones(100, dtype=np.int64)
     labels[1] = 2
@@ -198,16 +198,19 @@ def test_split_rejects_held_out_missing_a_class():
     labels[99] = 4
     pool = ul.Dataset(feats, labels, 4)
     test = ul.Dataset(feats[:10], labels[:10].clip(1, 4), 4)
-    hit = False
+    seen = set()
     for seed in range(40):
+        # the held-out slice is the permutation's first round(0.1 n) rows
+        held = np.random.default_rng(seed).permutation(100)[:10]
+        missing = sorted({1, 2, 3, 4} - set(labels[held].tolist()))
         try:
             sp = ul.make_splits(pool, test, 0.2, seed=seed)
         except SplitError as e:
-            assert "missing classes" in str(e)
-            hit = True
+            assert str(e) == f"held-out slice is missing classes {missing}"
+            seen.add(str(missing))
         else:
-            assert 4 in pool.labels[sp.held_out]
-    assert hit
+            assert not missing and set(pool.labels[sp.held_out]) == {1, 2, 3, 4}
+    assert seen == {"[1]", "[4]", "[1, 4]"}
 
 
 # ------------------------------------------------------------------ minibatch

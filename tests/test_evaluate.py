@@ -157,7 +157,7 @@ def test_a_diverged_grid_point_fails_at_its_evaluate_stage(tiny_cfg, ctx, monkey
 @pytest.fixture(scope="module")
 def wide_ctx(tiny_cfg):
     """A tiny-architecture seed whose retain (1,215 rows) and test (1,800
-    rows) splits are each scored in two blocks."""
+    rows) splits are scored in five and eight blocks."""
     cfg = replace(tiny_cfg, gen=replace(tiny_cfg.gen, samples_per_class=600),
                   base=replace(tiny_cfg.base, epochs=1), rmia_refs=1)
     return ul.prepare_seed(cfg, 0)
@@ -165,7 +165,7 @@ def wide_ctx(tiny_cfg):
 
 def test_block_wise_scoring_equals_the_public_metric_functions(wide_ctx):
     s = wide_ctx.splits
-    assert len(_row_blocks(s.retain.size)) == len(_row_blocks(s.test.num_samples)) == 2
+    assert len(_row_blocks(s.retain.size)) == 5 and len(_row_blocks(s.test.num_samples)) == 8
     for name, model in (("base", wide_ctx.base_model), ("retrain", wide_ctx.retrain_model)):
         got = ul.evaluate_model(name, model, wide_ctx)
         assert asdict(got) == asdict(public_report(name, model, wide_ctx))

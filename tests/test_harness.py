@@ -690,6 +690,7 @@ def test_sweep_rejects_non_w_methods(tiny_cfg, tiny_run):
     ((0.5, 1.5), r"ws must be non-empty and lie in \[0, 1\]"),
     ((math.nan,), r"ws must be non-empty and lie in \[0, 1\]"),
     (0.5, "ws: expected a list, got 0.5"),
+    ((0.3, 0.3), r"ws must be distinct, got \(0\.3, 0\.3\)"),
 ])
 def test_a_sweep_checks_its_w_grid_with_the_field_rule(tiny_cfg, tiny_run, w_grid, match):
     with pytest.raises(ValueError, match=match):

@@ -117,7 +117,7 @@ def default_shape_model(kind, seed=0):
 
 
 @pytest.mark.parametrize("kind", ["tanh", "relu", "linear"])
-@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049, 6000])
+@pytest.mark.parametrize("n", [1, 257, 864, 1023, 1024, 1025, 1200, 2049, 6000])
 def test_blocked_logits_equal_one_call_bytewise_on_default_shapes(kind, n):
     model = default_shape_model(kind)
     x = np.random.default_rng(n).normal(size=(n, 32))
@@ -125,8 +125,8 @@ def test_blocked_logits_equal_one_call_bytewise_on_default_shapes(kind, n):
     assert ul.forward_logits(model, x).tobytes() == one_call.tobytes()
 
 
-@pytest.mark.parametrize("n", [1, 1024, 1025, 2048, 2049, 6000])
-def test_forward_blocks_are_balanced_and_at_most_1024_rows(n, monkeypatch):
+@pytest.mark.parametrize("n", [1, 256, 257, 1024, 1025, 2048, 2049, 6000])
+def test_forward_blocks_are_balanced_and_at_most_the_cap(n, monkeypatch):
     real, rows = models._forward_cached, []
 
     def recording(model, x):
@@ -135,10 +135,12 @@ def test_forward_blocks_are_balanced_and_at_most_1024_rows(n, monkeypatch):
 
     monkeypatch.setattr(models, "_forward_cached", recording)
     ul.forward_logits(default_shape_model("tanh"), np.zeros((n, 32)))
-    assert sum(rows) == n and len(rows) == -(-n // 1024)
-    # balanced: sizes differ by at most one, so a block of more than
-    # 1,024 rows is never cut below 512
-    assert max(rows) - min(rows) <= 1 and max(rows) <= 1024
+    cap = models._BLOCK_ROWS
+    assert sum(rows) == n and len(rows) == -(-n // cap)
+    # balanced: sizes differ by at most one, so a batch of more than the
+    # cap is never cut below half of it
+    assert max(rows) - min(rows) <= 1 and max(rows) <= cap
+    assert len(rows) == 1 or min(rows) >= cap // 2
 
 
 def test_forward_memory_does_not_grow_with_the_batch():
@@ -153,7 +155,7 @@ def test_forward_memory_does_not_grow_with_the_batch():
         finally:
             tracemalloc.stop()
     one_call, blocked = peaks
-    assert blocked < one_call / 4
+    assert blocked < one_call / 8
 
 
 # SHA-256 of theta and of forward_probs on all 1,600 rows after 3 epochs
