@@ -28,10 +28,8 @@ def main():
     print("preparing seed (base, oracle, attack references) ...")
     ctx = ul.prepare_seed(cfg, args.seed)
 
-    retrain = ul.evaluate_model("retrain", ctx.retrain_model, ctx)
-    retrain = ul.with_gaps(retrain, retrain)
-    rows = [ul.with_gaps(ul.evaluate_model("base", ctx.base_model, ctx), retrain),
-            retrain]
+    base, retrain = ul.harness.score_base_and_retrain(ctx)
+    rows = [base, retrain]
 
     for method in ul.METHODS:
         ucfg = ul.harness.method_grid_configs(cfg, method, args.seed)[0]

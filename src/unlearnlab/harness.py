@@ -19,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
-from itertools import product, zip_longest
+from itertools import product
 
 import numpy as np
 
@@ -321,15 +321,6 @@ def score_base_and_retrain(ctx: SeedContext) -> tuple:
     return base, retrain
 
 
-def _prepare_unit(cfg: ExperimentConfig, seed: int, pmap):
-    """The seed's SeedContext, or its SeedFailure at stage "prepare".
-    Runs in the caller; prepare_seed hands its jobs to ``pmap``."""
-    try:
-        return prepare_seed(cfg, seed, pmap=pmap)
-    except Exception as exc:  # seed isolation barrier
-        return SeedFailure(seed, "prepare", f"{type(exc).__name__}: {exc}")
-
-
 def _slices(points: list, count: int) -> list:
     """``points`` cut into min(count, len(points)) contiguous runs, in
     order, whose lengths differ by at most one."""
@@ -364,6 +355,18 @@ def _score_unit(ctx: SeedContext, ucfgs: list | None) -> list:
         return outcomes
     except Exception as exc:  # seed isolation barrier
         return outcomes + [SeedFailure(ctx.seed, stage, f"{type(exc).__name__}: {exc}")]
+
+
+def _score(pmap, workers: int, work: list) -> list:
+    """Score ``work``, a list of (SeedContext, points), points a list of
+    UnlearnConfig cut by _slices or None for the base/retrain pair, one
+    _score_unit job per slice through ``pmap``.  Returns (seed, point,
+    outcome) in ``work`` order; a slice's points after its failure get none."""
+    units = [(ctx, part) for ctx, points in work
+             for part in ([None] if points is None else _slices(points, workers))]
+    scored = pmap(_score_unit, [ctx for ctx, _ in units], [part for _, part in units])
+    return [(ctx.seed, point, outcome) for (ctx, part), outcomes in zip(units, scored)
+            for point, outcome in zip(part or [None], outcomes)]
 
 
 def _openblas_threads():
@@ -493,35 +496,34 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunResult:
     """The full pipeline over all seeds.
 
     Work runs in units: first one ``prepare_seed`` per seed, in seed
-    order, then the scoring units of each prepared seed: the base/retrain
-    pair, and each method's grid cut into min(workers, points) slices
-    (see _slices), each of which builds its step plan once.  Every process
-    that computes runs BLAS on one thread (see ``_mapper``).  ``workers``
-    > 1 runs the work on one process pool: ``prepare_seed`` sends each seed's data load and its
-    frozen-model trainings to the pool as separate jobs, so even a
-    one-seed run keeps the workers busy while it prepares, and the
-    scoring units follow.  Results are reduced in seed, then grid
-    order, so parallel and serial runs produce identical reports.  A
-    seed whose preparation or any unit fails is recorded with its first
-    failure in that order and skipped; the rest of the run proceeds.
+    order, then each prepared seed's base/retrain pair and method grids
+    through ``_score``.  Every process that computes runs BLAS on one
+    thread (see ``_mapper``).  ``workers`` > 1 runs it all on one process
+    pool: ``prepare_seed`` sends each seed's data load and frozen-model
+    trainings to it as separate jobs, so even one seed keeps the workers
+    busy.  Results are reduced in seed, then grid order, so parallel and
+    serial runs produce identical reports.  A seed whose preparation or
+    any unit fails is recorded with its first failure in that order and
+    skipped; the rest of the run proceeds.
     """
     with _mapper(workers) as pmap:
-        prepared = [_prepare_unit(cfg, seed, pmap) for seed in sorted(cfg.seeds)]
-        ready = [p for p in prepared if isinstance(p, SeedContext)]
-        units = [(ctx, part) for ctx in ready for part in [None] + [
-            part for m in sorted(cfg.methods)
-            for part in _slices(method_grid_configs(cfg, m, ctx.seed), workers)]]
-        scored = list(pmap(_score_unit, [ctx for ctx, _ in units], [part for _, part in units]))
+        prepared = []
+        for seed in sorted(cfg.seeds):
+            try:  # by its module name, which the tracer and tests patch
+                prepared.append(prepare_seed(cfg, seed, pmap=pmap))
+            except Exception as exc:  # seed isolation barrier
+                prepared.append(SeedFailure(seed, "prepare", f"{type(exc).__name__}: {exc}"))
+        scored = _score(pmap, workers, [
+            (ctx, points) for ctx in prepared if isinstance(ctx, SeedContext)
+            for points in [None] + [method_grid_configs(cfg, m, ctx.seed)
+                                    for m in sorted(cfg.methods)]])
 
     outcomes = {}  # seed -> [(grid point or None, outcome)] in grid order
-    for (ctx, part), result in zip(units, scored):
-        outcomes.setdefault(ctx.seed, []).extend(zip(part or [None], result))
+    for seed, point, outcome in scored:
+        outcomes.setdefault(seed, []).append((point, outcome))
     failures, rows, grid, contexts = [], [], [], {}
-    for outcome in prepared:
-        if isinstance(outcome, SeedFailure):
-            failures.append(outcome)
-            continue
-        pairs = outcomes[outcome.seed]
+    for prep in prepared:  # a failed preparation is its seed's one outcome
+        pairs = outcomes.get(prep.seed, [(None, prep)])
         failure = next((r for _, r in pairs if isinstance(r, SeedFailure)), None)
         if failure is not None:
             failures.append(failure)
@@ -529,7 +531,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunResult:
         (_, (base, retrain)), *reports = pairs
         rows.extend([base, retrain])
         grid.extend(GridResult(ucfg, with_gaps(report, retrain)) for ucfg, report in reports)
-        contexts[outcome.seed] = outcome
+        contexts[prep.seed] = prep
 
     selected = {}
     if grid:
@@ -558,11 +560,10 @@ def sweep_tradeoff(cfg: ExperimentConfig, method: str, w_grid,
 
     The non-w hyperparameters are the ones selection picked for the
     method (lr, gamma); pass ``result`` to reuse an existing run's
-    trained models, otherwise the experiment is run first.  Each seed's
-    ws are cut into slices as ``run_experiment`` cuts a grid, one unit of
-    work each, run on the same kind of pool when ``workers`` > 1.  The
-    first failing point in w, then seed order raises ValueError naming
-    its seed and stage; a repeated w raises ValueError up front, as a
+    models and the points in its grid, otherwise the experiment is run
+    first.  The other points are scored through ``_score``.  The first
+    failing point in w, then seed order raises ValueError naming its
+    seed and stage; a repeated w raises ValueError up front, as a
     repeated grid value does.  Returns one SweepPoint per w in grid order.
     """
     if method not in W_METHODS:
@@ -580,23 +581,22 @@ def sweep_tradeoff(cfg: ExperimentConfig, method: str, w_grid,
         raise ValueError(f"no grid results for {method!r} to anchor the sweep")
     anchor = result.selected[method]
     retrain_rows = {r.seed: r for r in result.rows if r.method == "retrain"}
-    contexts = [ctx for _, ctx in sorted(result.contexts.items())]
+    seeds = sorted(result.contexts)
+    wanted = {(w, seed): replace(anchor, w=w, seed=derive_seed(seed, "unlearn"))
+              for w in ws for seed in seeds}
+    found = {gr.config: gr.report for gr in result.grid}
     with _mapper(workers) as pmap:
-        units = [(ctx, part) for ctx in contexts for part in _slices(
-            [replace(anchor, w=w, seed=derive_seed(ctx.seed, "unlearn")) for w in ws], workers)]
-        scored = list(pmap(_score_unit, [ctx for ctx, _ in units], [part for _, part in units]))
-    by_seed = {ctx.seed: [] for ctx in contexts}
-    for (ctx, _), outcomes in zip(units, scored):
-        by_seed[ctx.seed].extend(outcomes)
-    # columns[i] holds w_i's seeds, None where a seed's slice had stopped
-    columns = list(zip_longest(*by_seed.values()))
-    for failure in (unit for column in columns for unit in column):
-        if isinstance(failure, SeedFailure):
-            raise ValueError(f"sweep of {method} failed on seed {failure.seed} "
-                             f"at {failure.stage}: {failure.error}")
+        found.update((point, outcome) for _, point, outcome in _score(pmap, workers, [
+            (result.contexts[seed], [wanted[w, seed] for w in ws if wanted[w, seed] not in found])
+            for seed in seeds]))
 
     points = []
-    for w, column in zip(ws, columns):
+    for w in ws:
+        column = [found[wanted[w, seed]] for seed in seeds]  # a missing point follows a failure
+        for failure in column:
+            if isinstance(failure, SeedFailure):
+                raise ValueError(f"sweep of {method} failed on seed {failure.seed} "
+                                 f"at {failure.stage}: {failure.error}")
         reports = [with_gaps(report, retrain_rows[report.seed]) for report in column]
         stats = aggregate_seeds(reports)
         # the statistic fields are named <report field>_mean / _std
@@ -616,6 +616,8 @@ def write_report(result: RunResult, out_dir, sweep_points=None) -> list:
     write_aggregated_csv(result.aggregates, paths.aggregated)
     if sweep_points is not None:
         write_sweep_csv(sweep_points, paths.sweep)
+    elif os.path.exists(paths.sweep):  # an earlier sweep's curve
+        os.remove(paths.sweep)
     write_manifest(result.config, SELECTION_RULE, result.selected, result.failures,
                    paths.manifest)
     return [p for p in paths if p != paths.sweep or sweep_points is not None]

@@ -170,6 +170,26 @@ def test_a_failing_sweep_keeps_the_run_report(cfg_path, tmp_path, capsys, monkey
                 == (tmp_path / "run" / name).read_bytes())
 
 
+def test_a_report_never_keeps_an_earlier_sweeps_curve(cfg_path, tmp_path, monkeypatch):
+    argv = ["--config", cfg_path, "--out", str(tmp_path)]
+    assert main(["sweep", "--method", "regun", *argv]) == 0
+    assert main(["run", "--method", "finetune", "--seed", "1", *argv]) == 0
+    assert not (tmp_path / "sweep.csv").exists()
+    # nor does a sweep that fails after writing its run's report
+    assert main(["sweep", "--method", "regun", *argv]) == 0
+    unlearn_module = importlib.import_module("unlearnlab.unlearn")
+    real = unlearn_module._run
+
+    def flaky(name, model, cfg, *rest):  # fails one w of the sweep, none of the run
+        if cfg.w == 0.3:
+            raise RuntimeError("synthetic w=0.3")
+        return real(name, model, cfg, *rest)
+
+    monkeypatch.setattr(unlearn_module, "_run", flaky)
+    assert main(["sweep", "--method", "regun", *argv]) == 2
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_workers_below_one_exit_2(cfg_path, tmp_path, capsys, command, workers):

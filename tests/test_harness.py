@@ -660,13 +660,33 @@ def test_sweep_tradeoff_points(tiny_cfg, tiny_run):
 
 
 def test_parallel_sweep_matches_serial(tmp_path, tiny_cfg, tiny_run):
+    # 0.5 is in the run's grid, so each seed leaves 2 points: 3 workers
+    # get more slices than there are points
     ws = (0.2, 0.5, 0.8)
-    for workers in (1, 2):
+    for workers in (1, 2, 3):
         pts = ul.sweep_tradeoff(tiny_cfg, "regun", ws, result=tiny_run,
                                 workers=workers)
         ul.write_report(tiny_run, tmp_path / str(workers), sweep_points=pts)
-    assert ((tmp_path / "1" / "sweep.csv").read_bytes()
-            == (tmp_path / "2" / "sweep.csv").read_bytes())
+    serial = (tmp_path / "1" / "sweep.csv").read_bytes()
+    for workers in (2, 3):
+        assert (tmp_path / str(workers) / "sweep.csv").read_bytes() == serial
+
+
+def test_a_sweep_takes_the_points_the_run_already_scored(tiny_cfg, tiny_run, monkeypatch):
+    unlearn_module = importlib.import_module("unlearnlab.unlearn")
+    real, calls = unlearn_module._run, []
+
+    def counting(name, model, cfg, *rest):
+        calls.append((cfg.seed, cfg.w))
+        return real(name, model, cfg, *rest)
+
+    monkeypatch.setattr(unlearn_module, "_run", counting)
+    # regun's grid holds w 0.5 and 0.9, so only w 0.7 is unlearned, once per seed
+    points = ul.sweep_tradeoff(tiny_cfg, "regun", (0.5, 0.7), result=tiny_run)
+    assert sorted(calls) == sorted((ul.derive_seed(s, "unlearn"), 0.7) for s in tiny_cfg.seeds)
+    scored = [gr.report for gr in tiny_run.grid if gr.config.method == "regun"
+              and gr.config.w == 0.5]
+    assert points[0].gap_tp_mean == ul.aggregate_seeds(scored)["gap_tp"][0]
 
 
 def test_a_sweep_without_a_run_runs_the_experiment_first(tiny_cfg, tiny_run):

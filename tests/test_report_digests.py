@@ -47,6 +47,9 @@ GOLDEN = {
     "sweep": {  # regun over w (0.3, 0.7), anchored on the mlp1-tanh run
         "sweep.csv": "04e331f33fdf9835c8b048590063bbe81ea4590c12148d3c3e4f4321c635df0e",
     },
+    "sweep-reuse": {  # regun over w (0.5, 0.7): 0.5 is a point of the run's grid
+        "sweep.csv": "9543a80794ed4bc57a6d2297545845b0374a8c73196367f0db28e20b475507cb",
+    },
 }
 
 # The tiny runs: tiny_cfg's shapes with every method, over three seeds.
@@ -110,8 +113,11 @@ def test_a_csv_source_run_writes_its_golden_bytes(tiny_cfg, tmp_path, monkeypatc
     check_digests(tmp_path / "out", "csv")
 
 
-def test_a_sweep_writes_its_golden_bytes(tiny_cfg, tanh_run, tmp_path):
+@pytest.mark.parametrize("ws, key", [pytest.param((0.3, 0.7), "sweep", id="sweep"),
+                                     pytest.param((0.5, 0.7), "sweep-reuse", id="sweep-reuse")])
+def test_a_sweep_writes_its_golden_bytes(tiny_cfg, tanh_run, tmp_path, ws, key):
+    # a point taken from the run's grid writes the bytes of one scored again
     cfg = golden_cfg(tiny_cfg, "mlp1-tanh")
-    points = ul.sweep_tradeoff(cfg, "regun", (0.3, 0.7), result=tanh_run)
+    points = ul.sweep_tradeoff(cfg, "regun", ws, result=tanh_run)
     ul.write_report(tanh_run, tmp_path, sweep_points=points)
-    check_digests(tmp_path, "sweep", ("sweep.csv",))
+    check_digests(tmp_path, key, ("sweep.csv",))
