@@ -5,11 +5,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import get_args, get_origin, get_type_hints
+from typing import Annotated, get_args, get_origin, get_type_hints
 
 from .data import GenSpec
 from .models import ArchitectureSpec, TrainConfig
-from .textio import _EXPECTED, _value, check_fields
+from .textio import (_EXPECTED, AT_LEAST_0, AT_LEAST_1, DISTINCT, NON_NEGATIVE, OPEN_UNIT,
+                     POSITIVE, UNIT, _value, check_fields)
 from .unlearn import METHOD_TABLE, METHODS
 
 
@@ -25,29 +26,17 @@ class MethodGrid:
     match; None means the per-step forget batch size).
     """
 
-    lrs: tuple[float, ...] = (0.05,)
-    ws: tuple[float, ...] = (0.5,)
-    gammas: tuple[float, ...] = (0.0,)
-    batch_size: int | None = None
-    retain_batch_size: int | None = None
-    num_matched: int | None = None
+    lrs: Annotated[tuple[Annotated[float, POSITIVE], ...], DISTINCT] = (0.05,)
+    ws: Annotated[tuple[Annotated[float, UNIT], ...], DISTINCT] = (0.5,)
+    gammas: Annotated[tuple[Annotated[float, NON_NEGATIVE], ...], DISTINCT] = (0.0,)
+    batch_size: Annotated[int | None, AT_LEAST_1] = None
+    retain_batch_size: Annotated[int | None, AT_LEAST_1] = None
+    num_matched: Annotated[int | None, AT_LEAST_1] = None
 
     def __post_init__(self):
         check_fields(self, "grid ")
         if not self.lrs or not self.ws or not self.gammas:
             raise ValueError("grid axes must be non-empty")
-        if not all(math.isfinite(lr) and lr > 0 for lr in self.lrs):
-            raise ValueError("grid lrs must be finite and > 0")
-        if any(not (0.0 <= w <= 1.0) for w in self.ws):
-            raise ValueError("grid ws must lie in [0, 1]")
-        if not all(math.isfinite(g) and g >= 0 for g in self.gammas):
-            raise ValueError("grid gammas must be finite and >= 0")
-        for axis in ("lrs", "ws", "gammas"):
-            if len(set(getattr(self, axis))) != len(getattr(self, axis)):
-                raise ValueError(f"grid {axis} must be distinct")
-        for name in ("batch_size", "retain_batch_size", "num_matched"):
-            if getattr(self, name) is not None and getattr(self, name) < 1:
-                raise ValueError(f"grid {name} must be >= 1")
 
 
 _DEFAULT_GRID = MethodGrid()
@@ -70,12 +59,12 @@ class ExperimentConfig:
     pool_csv: str | None = None
     test_csv: str | None = None
     csv_header: bool = False
-    forget_fraction: float = 0.1
+    forget_fraction: Annotated[float, OPEN_UNIT] = 0.1
     base: TrainConfig = TrainConfig(epochs=60, batch_size=64, lr=0.05)
-    unlearn_epochs: int = 10
+    unlearn_epochs: Annotated[int, AT_LEAST_0] = 10
     methods: dict[str, MethodGrid] = field(default_factory=dict)
-    seeds: tuple[int, ...] = (0, 1, 2)
-    rmia_refs: int = 4
+    seeds: Annotated[tuple[Annotated[int, AT_LEAST_0], ...], DISTINCT] = (0, 1, 2)
+    rmia_refs: Annotated[int, AT_LEAST_1] = 4
 
     def __post_init__(self):
         check_fields(self)
@@ -88,18 +77,8 @@ class ExperimentConfig:
                 raise ValueError("gen and arch disagree on num_classes")
             if self.gen.input_dim != self.arch.input_dim:
                 raise ValueError("gen and arch disagree on input_dim")
-        if not (0.0 < self.forget_fraction < 1.0):
-            raise ValueError("forget_fraction must lie strictly in (0, 1)")
-        if self.unlearn_epochs < 0:
-            raise ValueError("unlearn_epochs must be >= 0")
         if not self.seeds:
             raise ValueError("need at least one seed")
-        if any(s < 0 for s in self.seeds):
-            raise ValueError("seeds must be >= 0")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ValueError("seeds must be distinct")
-        if self.rmia_refs < 1:
-            raise ValueError("rmia_refs must be >= 1")
         for name, grid in self.methods.items():
             if name not in METHODS:
                 raise ValueError(f"unknown method {name!r} in config")

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
-from .textio import check_fields, parse_cell, read_rows, write_rows
+from .textio import (AT_LEAST_1, AT_LEAST_2, POSITIVE, check_fields, parse_cell, read_rows,
+                     write_rows)
 
 
 class DataError(ValueError):
@@ -22,6 +24,19 @@ class DataError(ValueError):
 
 class SplitError(ValueError):
     """Requested split is impossible for this pool."""
+
+
+def _int_labels(labels, error=ValueError) -> np.ndarray:
+    """``labels`` as int64.  Values of a non-integer dtype must be finite
+    and integral (2.0 passes; 2.5 and NaN raise ``error``); integer
+    arrays skip that pass."""
+    y = np.asarray(labels)
+    if y.dtype.kind not in "biu":
+        real = y.astype(np.float64)
+        bad = real[~np.isfinite(real) | (real != np.trunc(real))]
+        if bad.size:
+            raise error(f"labels must be integers, got {bad[0]}")
+    return y.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,7 +49,7 @@ class Dataset:
 
     def __post_init__(self):
         x = np.asarray(self.features, dtype=np.float64)
-        y = np.asarray(self.labels, dtype=np.int64)
+        y = _int_labels(self.labels, DataError)
         if x.ndim != 2 or x.shape[0] == 0:
             raise DataError("features must be a non-empty 2-d array")
         if not np.all(np.isfinite(x)):
@@ -66,25 +81,15 @@ class GenSpec:
     Gaussian with standard deviation ``noise_sigma`` around it.
     """
 
-    num_classes: int
-    input_dim: int
-    samples_per_class: int
-    centroid_scale: float = 3.0
-    noise_sigma: float = 1.5
+    num_classes: Annotated[int, AT_LEAST_2]
+    input_dim: Annotated[int, AT_LEAST_1]
+    samples_per_class: Annotated[int, AT_LEAST_1]
+    centroid_scale: Annotated[float, POSITIVE] = 3.0
+    noise_sigma: Annotated[float, POSITIVE] = 1.5
     seed: int = 0
 
     def __post_init__(self):
         check_fields(self)
-        if self.num_classes < 2:
-            raise ValueError("num_classes must be >= 2")
-        if self.input_dim < 1:
-            raise ValueError("input_dim must be >= 1")
-        if self.samples_per_class < 1:
-            raise ValueError("samples_per_class must be >= 1")
-        if not (math.isfinite(self.centroid_scale) and self.centroid_scale > 0.0):
-            raise ValueError("centroid_scale must be finite and > 0")
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma > 0.0):
-            raise ValueError("noise_sigma must be finite and > 0")
 
 
 # Centroids depend only on the mixture shape, never on the sampling
@@ -130,7 +135,7 @@ def generate_gaussian_mixture(spec: GenSpec) -> Dataset:
 def class_histogram(labels, num_classes: int) -> np.ndarray:
     """Count occurrences of each class.  Returns an int array of length
     num_classes whose k-th entry counts label k+1."""
-    y = np.asarray(labels, dtype=np.int64)
+    y = _int_labels(labels)
     if y.ndim != 1:
         raise ValueError("labels must be 1-d")
     if y.size and (y.min() < 1 or y.max() > num_classes):

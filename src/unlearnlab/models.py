@@ -44,11 +44,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate, islice
-from typing import get_type_hints
+from typing import Annotated, get_type_hints
 
 import numpy as np
 
-from .textio import _value, check_fields, parse_cell, read_rows, write_rows
+from .data import _int_labels
+from .textio import (AT_LEAST_0, AT_LEAST_1, AT_LEAST_2, MOMENTUM, NON_NEGATIVE, POSITIVE, _hints,
+                     _value, check_fields, parse_cell, read_rows, write_rows)
 
 ARCH_KINDS = ("linear", "mlp1")
 ACTIVATIONS = ("tanh", "relu")
@@ -66,8 +68,8 @@ class ArchitectureSpec:
     """
 
     kind: str
-    input_dim: int
-    num_classes: int
+    input_dim: Annotated[int, AT_LEAST_1]
+    num_classes: Annotated[int, AT_LEAST_2]
     hidden_dim: int = 0
     activation: str = "tanh"
 
@@ -75,10 +77,6 @@ class ArchitectureSpec:
         check_fields(self)
         if self.kind not in ARCH_KINDS:
             raise ValueError(f"unknown architecture kind {self.kind!r}")
-        if self.input_dim < 1:
-            raise ValueError("input_dim must be >= 1")
-        if self.num_classes < 2:
-            raise ValueError("num_classes must be >= 2")
         if self.kind == "linear":
             if self.hidden_dim != 0:
                 raise ValueError("linear model takes hidden_dim == 0")
@@ -336,15 +334,14 @@ class LossSpec:
 
     kind: str = "ce_hard"
     soft_target: np.ndarray | None = None
-    l1_weight: float = 0.0
+    l1_weight: Annotated[float, NON_NEGATIVE] = 0.0
     weights: np.ndarray | None = None
 
     def __post_init__(self):
         if _value(str, self.kind, "kind") not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}")
-        object.__setattr__(self, "l1_weight", _value(float, self.l1_weight, "l1_weight"))
-        if not (math.isfinite(self.l1_weight) and self.l1_weight >= 0.0):
-            raise ValueError("l1_weight must be finite and >= 0")
+        l1_weight = _value(_hints(LossSpec)["l1_weight"], self.l1_weight, "l1_weight")
+        object.__setattr__(self, "l1_weight", l1_weight)
         w = None if self.weights is None else np.asarray(self.weights, dtype=np.float64)
         if w is not None and (w.ndim != 1 or not np.isfinite(w).all()):
             raise ValueError("weights must be a 1-d array of finite numbers")
@@ -374,10 +371,9 @@ HARD_LABEL_KINDS = ("ce_hard", "neg_ce_hard")
 
 
 def _check_labels(y, num_classes: int, n: int) -> np.ndarray:
-    y = np.asarray(y)
+    y = _int_labels(y)
     if y.shape != (n,):
         raise ValueError("labels must be 1-d and match the batch size")
-    y = y.astype(np.int64)
     if np.any(y < 1) or np.any(y > num_classes):
         raise ValueError(f"labels must lie in [1, {num_classes}]")
     return y
@@ -499,15 +495,12 @@ class OptState:
     Update rule: v' = momentum * v + g, theta' = theta - lr * v'.
     """
 
-    lr: float
-    momentum: float
+    lr: Annotated[float, POSITIVE]
+    momentum: Annotated[float, MOMENTUM]
     velocity: np.ndarray
 
     def __post_init__(self):
-        if not (math.isfinite(self.lr) and self.lr > 0.0):
-            raise ValueError("lr must be finite and > 0")
-        if not (0.0 <= self.momentum < 1.0):
-            raise ValueError("momentum must lie in [0, 1)")
+        check_fields(self)
 
 
 def init_opt_state(model: Model, lr: float, momentum: float = 0.0) -> OptState:
@@ -570,22 +563,14 @@ class _Kernel:
 class TrainConfig:
     """Settings for a seeded minibatch SGD pass over an index set."""
 
-    epochs: int
-    batch_size: int
-    lr: float
-    momentum: float = 0.9
+    epochs: Annotated[int, AT_LEAST_0]
+    batch_size: Annotated[int, AT_LEAST_1]
+    lr: Annotated[float, POSITIVE]
+    momentum: Annotated[float, MOMENTUM] = 0.9
     seed: int = 0
 
     def __post_init__(self):
         check_fields(self)
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if not (math.isfinite(self.lr) and self.lr > 0.0):
-            raise ValueError("lr must be finite and > 0")
-        if not (0.0 <= self.momentum < 1.0):
-            raise ValueError("momentum must lie in [0, 1)")
 
 
 def _batches(rows: np.ndarray, epochs: int, batch_size: int, rng):

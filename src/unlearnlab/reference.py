@@ -11,12 +11,13 @@ unlearning loss then pulls the forget-set predictions toward.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
 from .data import Dataset, class_histogram
 from .models import Model, forward_probs
-from .textio import check_fields
+from .textio import AT_LEAST_1, check_fields
 
 
 class CoverageError(ValueError):
@@ -32,13 +33,11 @@ class RefDistConfig:
     the sampler only when the caller does not pass its own generator.
     """
 
-    num_matched: int | None = None
+    num_matched: Annotated[int | None, AT_LEAST_1] = None
     seed: int = 0
 
     def __post_init__(self):
         check_fields(self)
-        if self.num_matched is not None and self.num_matched < 1:
-            raise ValueError("num_matched must be >= 1")
 
 
 def match_histogram(counts, total: int, target_total: int) -> np.ndarray:
@@ -99,7 +98,7 @@ def build_refdist(forget_labels, pool: Dataset, held_out,
 
     Returns the length-num_classes probability vector q.
     """
-    forget_labels = np.asarray(forget_labels, dtype=np.int64)
+    forget_labels = np.asarray(forget_labels)
     if forget_labels.size == 0:
         raise ValueError("forget batch is empty")
     held_out = np.asarray(held_out, dtype=np.int64)

@@ -12,7 +12,9 @@ line; a file that is not UTF-8 raises ValueError naming the file.
 
 The field rule ``_value`` decides from a type hint what a config value
 may be, built in Python or read from JSON; each config class applies it
-to every field (``check_fields``) before range checks refuse the rest.
+to every field (``check_fields``).  A bounded field declares its Range
+once on its hint, as ``Annotated[int, AT_LEAST_1]`` (a tuple's element
+hint bounds each element); cross-field checks stay with their class.
 """
 
 from __future__ import annotations
@@ -20,10 +22,11 @@ from __future__ import annotations
 import math
 import numbers
 import re
+from collections.abc import Callable
 from contextlib import suppress
-from functools import cache
+from functools import cache, partial
 from types import UnionType
-from typing import get_args, get_origin, get_type_hints
+from typing import Annotated, NamedTuple, get_args, get_origin, get_type_hints
 
 # 17 significant digits round-trip IEEE-754 doubles exactly.
 FLOAT_FMT = "%.17g"
@@ -31,7 +34,26 @@ FLOAT_FMT = "%.17g"
 _EXPECTED = {int: "an integer", float: "a finite number", bool: "true or false",
              str: "a string", tuple: "a list"}
 
-_hints = cache(get_type_hints)
+
+class Range(NamedTuple):
+    """A bound on a field: ``ok(value)`` holds inside it, and a value
+    outside raises ``f"{name} {rule}"``."""
+
+    rule: str
+    ok: Callable
+
+
+AT_LEAST_0 = Range("must be >= 0", lambda v: v >= 0)
+AT_LEAST_1 = Range("must be >= 1", lambda v: v >= 1)
+AT_LEAST_2 = Range("must be >= 2", lambda v: v >= 2)
+POSITIVE = Range("must be finite and > 0", lambda v: math.isfinite(v) and v > 0)
+NON_NEGATIVE = Range("must be finite and >= 0", lambda v: math.isfinite(v) and v >= 0)
+UNIT = Range("must lie in [0, 1]", lambda v: 0 <= v <= 1)
+MOMENTUM = Range("must lie in [0, 1)", lambda v: 0 <= v < 1)
+OPEN_UNIT = Range("must lie strictly in (0, 1)", lambda v: 0 < v < 1)
+DISTINCT = Range("must be distinct", lambda v: len(set(v)) == len(v))
+
+_hints = cache(partial(get_type_hints, include_extras=True))
 
 # an optional sign, ASCII digits, and for floats a fraction and exponent
 _CANONICAL = {int: re.compile(r"[+-]?[0-9]+"),
@@ -41,8 +63,15 @@ _CANONICAL = {int: re.compile(r"[+-]?[0-9]+"),
 def _value(hint, value, name: str):
     """``value`` stored as type ``hint``, else a ValueError naming ``name``.
     int and float take integral and real numbers, never bools; a tuple
-    takes a tuple or list, ``X | None`` also None, other hints instances."""
+    takes a tuple or list, ``X | None`` also None, other hints instances;
+    ``Annotated[X, *ranges]`` checks X, then each Range on a non-None value."""
     origin, args = get_origin(hint), get_args(hint)
+    if origin is Annotated:
+        value = _value(args[0], value, name)
+        for bound in args[1:]:
+            if value is not None and not bound.ok(value):
+                raise ValueError(f"{name} {bound.rule}")
+        return value
     if origin is UnionType:
         return None if value is None else _value(args[0], value, name)
     kind = origin or hint
@@ -59,7 +88,8 @@ def _value(hint, value, name: str):
 
 def check_fields(obj, prefix: str = "") -> None:
     """Store each field of dataclass ``obj`` as ``_value`` checks it
-    against its hint, naming ``prefix`` + the field in an error."""
+    against its hint and ranges, naming ``prefix`` + the field in an
+    error; the first bad field in declaration order is the one named."""
     for name, hint in _hints(type(obj)).items():
         object.__setattr__(obj, name, _value(hint, getattr(obj, name), prefix + name))
 

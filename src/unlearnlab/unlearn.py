@@ -19,8 +19,8 @@ A zero epoch budget is the identity for every method.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .models import (
     loss_and_grad,  # noqa: F401
 )
 from .reference import RefDistConfig, build_refdist
-from .textio import check_fields
+from .textio import AT_LEAST_0, AT_LEAST_1, MOMENTUM, NON_NEGATIVE, POSITIVE, UNIT, check_fields
 
 # Gradient ascent diverges quickly under a full unlearning budget, so
 # neggrad always runs exactly this many epochs (a zero budget still
@@ -89,29 +89,20 @@ class UnlearnConfig:
     """
 
     method: str
-    lr: float
-    epochs: int = 10
-    batch_size: int = 64
-    retain_batch_size: int | None = None
-    w: float = 0.5
-    momentum: float = 0.9
-    gamma: float = 0.0
-    num_matched: int | None = None
+    lr: Annotated[float, POSITIVE]
+    epochs: Annotated[int, AT_LEAST_0] = 10
+    batch_size: Annotated[int, AT_LEAST_1] = 64
+    retain_batch_size: Annotated[int | None, AT_LEAST_1] = None
+    w: Annotated[float, UNIT] = 0.5
+    momentum: Annotated[float, MOMENTUM] = 0.9
+    gamma: Annotated[float, NON_NEGATIVE] = 0.0
+    num_matched: Annotated[int | None, AT_LEAST_1] = None
     seed: int = 0
 
     def __post_init__(self):
         check_fields(self)
         if self.method not in METHODS:
             raise ValueError(f"unknown unlearning method {self.method!r}")
-        self.train_config()  # checks epochs, batch_size, lr and momentum
-        if self.retain_batch_size is not None and self.retain_batch_size < 1:
-            raise ValueError("retain_batch_size must be >= 1")
-        if not (0.0 <= self.w <= 1.0):
-            raise ValueError("w must lie in [0, 1]")
-        if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
-            raise ValueError("gamma must be finite and >= 0")
-        if self.num_matched is not None and self.num_matched < 1:
-            raise ValueError("num_matched must be >= 1")
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(

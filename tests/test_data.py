@@ -85,6 +85,20 @@ def test_dataset_validation():
         ul.Dataset(np.zeros((2, 2)), np.array([0, 1]), 2)
 
 
+@pytest.mark.parametrize("labels, bad", [
+    ([1.5, 2.9, 1.0], "1.5"), ([1.0, math.nan, 2.0], "nan"), ([math.inf, 1.0, 2.0], "inf")])
+def test_dataset_refuses_labels_that_are_not_integers(labels, bad):
+    # they used to be truncated (1.5 -> 1), and NaN raised numpy's own error
+    with pytest.raises(DataError, match=f"^labels must be integers, got {bad}$"):
+        ul.Dataset(np.zeros((3, 2)), labels, 3)
+
+
+def test_integral_float_labels_are_accepted():
+    ds = ul.Dataset(np.zeros((3, 2)), np.array([1.0, 3.0, 2.0]), 3)
+    assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [1, 3, 2]
+    assert ul.class_histogram([2.0, 2.0, 1.0], 3).tolist() == [1, 2, 0]
+
+
 # ------------------------------------------------------- histogram / rounding
 
 
@@ -108,6 +122,12 @@ def test_class_histogram_rejects_out_of_range():
         ul.class_histogram([1, 4], 3)
     with pytest.raises(ValueError):
         ul.class_histogram([[1, 2]], 3)
+
+
+@pytest.mark.parametrize("labels", [[1.7, 2.2], [1.0, math.nan]])
+def test_class_histogram_refuses_labels_that_are_not_integers(labels):
+    with pytest.raises(ValueError, match="^labels must be integers, got "):
+        ul.class_histogram(labels, 3)
 
 
 def test_round_half_up():

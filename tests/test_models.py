@@ -407,6 +407,23 @@ def test_momentum_accumulates_over_two_steps():
     assert abs(m2.theta[0] - (-2.9)) < 1e-15
 
 
+@pytest.mark.parametrize("label", [2.5, math.nan])
+def test_loss_refuses_hard_labels_that_are_not_integers(label):
+    # 2.5 used to train on label 2
+    model = random_model(np.random.default_rng(10), d=3, k=3)
+    with pytest.raises(ValueError, match="^labels must be integers, got "):
+        ul.loss_and_grad(model, np.zeros((1, 3)), [label], ul.LossSpec("ce_hard"))
+    loss, _ = ul.loss_and_grad(model, np.zeros((1, 3)), [2.0], ul.LossSpec("ce_hard"))
+    assert loss == ul.loss_and_grad(model, np.zeros((1, 3)), [2], ul.LossSpec("ce_hard"))[0]
+
+
+@pytest.mark.parametrize("field", ["lr", "momentum"])
+def test_opt_state_refuses_a_bool_like_every_config_class(field):
+    args = {"lr": 0.1, "momentum": 0.0, field: True}
+    with pytest.raises(ValueError, match=f"^{field}: expected a finite number, got True$"):
+        ul.OptState(args["lr"], args["momentum"], np.zeros(2))
+
+
 def test_momentum_zero_is_plain_descent():
     rng = np.random.default_rng(12)
     model = random_model(rng, d=3, k=3)

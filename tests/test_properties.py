@@ -588,3 +588,66 @@ def test_a_wrong_typed_field_is_refused_in_python_and_in_json(
     if key is not None:
         with pytest.raises(ValueError, match=f"^config key {re.escape(key)}: expected "):
             ul.config_from_dict(document(key, bad))
+
+
+_arch, _gen, _base = _cfg.arch, _cfg.gen, _cfg.base
+# One out-of-range input per bounded field of every config class, each
+# distinct and non-empty check, and two config documents, with the exact
+# message each raises.
+RANGE_MESSAGES = [
+    (lambda: replace(_arch, input_dim=0), "input_dim must be >= 1"),
+    (lambda: replace(_arch, num_classes=1), "num_classes must be >= 2"),
+    (lambda: replace(_gen, num_classes=1), "num_classes must be >= 2"),
+    (lambda: replace(_gen, input_dim=0), "input_dim must be >= 1"),
+    (lambda: replace(_gen, samples_per_class=0), "samples_per_class must be >= 1"),
+    (lambda: replace(_gen, centroid_scale=0.0), "centroid_scale must be finite and > 0"),
+    (lambda: replace(_gen, centroid_scale=math.nan), "centroid_scale must be finite and > 0"),
+    (lambda: replace(_gen, noise_sigma=-1.0), "noise_sigma must be finite and > 0"),
+    (lambda: replace(_base, epochs=-1), "epochs must be >= 0"),
+    (lambda: replace(_base, batch_size=0), "batch_size must be >= 1"),
+    (lambda: replace(_base, lr=0.0), "lr must be finite and > 0"),
+    (lambda: replace(_base, momentum=1.0), "momentum must lie in [0, 1)"),
+    (lambda: ul.OptState(-1.0, 0.0, np.zeros(2)), "lr must be finite and > 0"),
+    (lambda: ul.OptState(0.1, -0.5, np.zeros(2)), "momentum must lie in [0, 1)"),
+    (lambda: LossSpec("ce_hard", l1_weight=-1.0), "l1_weight must be finite and >= 0"),
+    (lambda: ul.RefDistConfig(num_matched=0), "num_matched must be >= 1"),
+    (lambda: UnlearnConfig("regun", lr=0.1, epochs=-1), "epochs must be >= 0"),
+    (lambda: UnlearnConfig("regun", lr=0.1, batch_size=0), "batch_size must be >= 1"),
+    (lambda: UnlearnConfig("regun", lr=-0.1), "lr must be finite and > 0"),
+    (lambda: UnlearnConfig("regun", lr=0.1, momentum=1.0), "momentum must lie in [0, 1)"),
+    (lambda: UnlearnConfig("regun", lr=0.1, retain_batch_size=0),
+     "retain_batch_size must be >= 1"),
+    (lambda: UnlearnConfig("regun", lr=0.1, w=1.5), "w must lie in [0, 1]"),
+    (lambda: UnlearnConfig("regun", lr=0.1, gamma=math.nan), "gamma must be finite and >= 0"),
+    (lambda: UnlearnConfig("regun", lr=0.1, num_matched=0), "num_matched must be >= 1"),
+    (lambda: ul.MethodGrid(lrs=(0.1, 0.0)), "grid lrs must be finite and > 0"),
+    (lambda: ul.MethodGrid(ws=(0.5, -0.1)), "grid ws must lie in [0, 1]"),
+    (lambda: ul.MethodGrid(gammas=(-1.0,)), "grid gammas must be finite and >= 0"),
+    (lambda: ul.MethodGrid(gammas=(math.inf,)), "grid gammas must be finite and >= 0"),
+    (lambda: ul.MethodGrid(lrs=(0.1, 0.1)), "grid lrs must be distinct"),
+    (lambda: ul.MethodGrid(ws=(0.5, 0.5)), "grid ws must be distinct"),
+    (lambda: ul.MethodGrid(gammas=(0.0, 0.0)), "grid gammas must be distinct"),
+    (lambda: ul.MethodGrid(lrs=()), "grid axes must be non-empty"),
+    (lambda: ul.MethodGrid(gammas=()), "grid axes must be non-empty"),
+    (lambda: ul.MethodGrid(batch_size=0), "grid batch_size must be >= 1"),
+    (lambda: ul.MethodGrid(retain_batch_size=0), "grid retain_batch_size must be >= 1"),
+    (lambda: ul.MethodGrid(num_matched=0), "grid num_matched must be >= 1"),
+    (lambda: replace(_cfg, forget_fraction=0.0), "forget_fraction must lie strictly in (0, 1)"),
+    (lambda: replace(_cfg, forget_fraction=1.0), "forget_fraction must lie strictly in (0, 1)"),
+    (lambda: replace(_cfg, unlearn_epochs=-1), "unlearn_epochs must be >= 0"),
+    (lambda: replace(_cfg, seeds=(0, -1)), "seeds must be >= 0"),
+    (lambda: replace(_cfg, seeds=(1, 1)), "seeds must be distinct"),
+    (lambda: replace(_cfg, seeds=()), "need at least one seed"),
+    (lambda: replace(_cfg, rmia_refs=0), "rmia_refs must be >= 1"),
+    (lambda: ul.config_from_dict({"methods": {"regun": {"ws": [0.9, 0.9]}}}),
+     "grid ws must be distinct"),
+    (lambda: ul.config_from_dict({"data": {"noise_sigma": 0}}),
+     "noise_sigma must be finite and > 0"),
+]
+
+
+@pytest.mark.parametrize("build, message", RANGE_MESSAGES)
+def test_each_out_of_range_value_gets_its_exact_message(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message

@@ -104,6 +104,13 @@ def test_refdist_single_match_returns_single_prediction(toy):
     assert np.array_equal(q, expected)
 
 
+def test_refdist_refuses_forget_labels_that_are_not_integers(toy):
+    # [1.5] used to build a class-1 reference
+    with pytest.raises(ValueError, match="^labels must be integers, got 1.5$"):
+        ul.build_refdist([1.5], toy.pool, toy.splits.held_out, toy.base,
+                         ul.RefDistConfig(), rng=np.random.default_rng(0))
+
+
 def test_refdist_zero_theta_reference_is_uniform(toy):
     flat = toy.base.with_theta(np.zeros_like(toy.base.theta))
     labels = toy.pool.labels[toy.splits.forget][:6]

@@ -119,3 +119,28 @@ def test_the_step_kernel_allocates_only_through_aligned():
                 found.append(f"{where}: a reduction to an array without out=")
     assert found == []
     assert aligned == {"_Kernel", "_Workspace"}
+
+
+RANGE_PHRASES = ("must be >=", "must be finite", "must lie in")
+
+
+def test_classes_on_the_field_rule_declare_ranges_on_their_hints():
+    # a class whose __post_init__ runs the field rule (check_fields or
+    # _value) leaves ranges to textio, so the two rules cannot drift apart
+    found, guarded = [], set()
+    for path in SOURCES:
+        for cls in (n for n in ast.walk(parsed(path)) if isinstance(n, ast.ClassDef)):
+            post = next((f for f in cls.body if isinstance(f, ast.FunctionDef)
+                         and f.name == "__post_init__"), None)
+            if post is None or not any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                                       and n.func.id in ("check_fields", "_value")
+                                       for n in ast.walk(post)):
+                continue
+            guarded.add(cls.name)
+            found += [f"{path.name}:{n.lineno} {cls.name}: {n.value!r}" for n in ast.walk(post)
+                      if isinstance(n, ast.Constant) and isinstance(n.value, str)
+                      and any(p in n.value for p in RANGE_PHRASES)]
+    assert found == []
+    assert guarded == {"ArchitectureSpec", "ExperimentConfig", "GenSpec", "LossSpec",
+                       "MethodGrid", "OptState", "RefDistConfig", "TrainConfig",
+                       "UnlearnConfig"}
