@@ -14,8 +14,8 @@ from typing import Annotated
 
 import numpy as np
 
-from .textio import (AT_LEAST_1, AT_LEAST_2, POSITIVE, check_fields, parse_cell, read_rows,
-                     write_rows)
+from .textio import (AT_LEAST_1, AT_LEAST_2, POSITIVE, _value, check_fields, parse_cell,
+                     read_rows, write_rows)
 
 
 class DataError(ValueError):
@@ -56,12 +56,15 @@ class Dataset:
             raise DataError("features contain non-finite values")
         if y.shape != (x.shape[0],):
             raise DataError("labels must be 1-d with one entry per row")
-        if self.num_classes < 2:
-            raise DataError("num_classes must be >= 2")
-        if y.size and (y.min() < 1 or y.max() > self.num_classes):
-            raise DataError(f"labels must lie in [1, {self.num_classes}]")
+        try:
+            k = _value(Annotated[int, AT_LEAST_2], self.num_classes, "num_classes")
+        except ValueError as exc:
+            raise DataError(str(exc)) from None
+        if y.size and (y.min() < 1 or y.max() > k):
+            raise DataError(f"labels must lie in [1, {k}]")
         object.__setattr__(self, "features", x)
         object.__setattr__(self, "labels", y)
+        object.__setattr__(self, "num_classes", k)
 
     @property
     def num_samples(self) -> int:

@@ -14,16 +14,18 @@ from __future__ import annotations
 
 import ctypes
 import glob
+import operator
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
+from functools import cache, partial
 from itertools import product
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ExperimentConfig, config_to_dict
 from .data import Dataset, DataSplits, generate_gaussian_mixture, load_csv, make_splits
 from .metrics import (AttackScores, MetricsReport, _hits, _percent, _reference_mean, _rmia,
                       _true_label, aggregate_seeds, attack_auc, js_divergence, with_gaps)
@@ -65,10 +67,62 @@ _STREAMS = {
 }
 
 
+# The constants of numpy's SeedSequence hash (NEP 19 keeps its output
+# stable), which derive_seed computes on plain integers.
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words(n) -> list:
+    """A non-negative integer's 32-bit words, least significant first,
+    at least one: how SeedSequence reads an entropy entry."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError(f"seed entropy must be a non-negative integer, got {n}")
+    words = [n & _M32]
+    while n := n >> 32:
+        words.append(n & _M32)
+    return words
+
+
+def _mix(x: int, y: int) -> int:
+    r = (_MIX_L * x - _MIX_R * y) & _M32
+    return r ^ r >> 16
+
+
 def derive_seed(seed: int, stream: str, index: int = 0) -> int:
-    """Stable child seed for one purpose within one experiment seed."""
-    entropy = [seed, _STREAMS[stream], index]
-    return int(np.random.SeedSequence(entropy).generate_state(1, dtype=np.uint64)[0])
+    """Stable child seed for one purpose within one experiment seed:
+    ``int(np.random.SeedSequence([seed, tag, index]).generate_state(1,
+    np.uint64)[0])`` for the stream's tag, computed on Python integers
+    over the default pool of four words, so that a process which only
+    derives seeds (a pooled run's parent) never loads numpy.random.  A
+    negative seed or index raises ValueError, a non-integer TypeError."""
+    entropy = _words(seed) + _words(_STREAMS[stream]) + _words(index)
+    hash_const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * _MULT_A & _M32
+        value = value * hash_const & _M32
+        return value ^ value >> 16
+
+    pool = [hashmix(word) for word in (entropy + [0])[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    out, hash_const = 0, _INIT_B  # one uint64: two output words, low first
+    for shift, word in ((0, pool[0]), (32, pool[1])):
+        word ^= hash_const
+        hash_const = hash_const * _MULT_B & _M32
+        word = word * hash_const & _M32
+        out |= (word ^ word >> 16) << shift
+    return out
 
 
 # The splits a report scores, in evaluation order, and the two the
@@ -104,6 +158,9 @@ class SeedContext:
     probability rows on the retain and test splits, for the JS
     divergences, and the references' mean true-label probability on the
     forget and test splits, for the RMIA score (None without references).
+    A scoring unit ships a lean copy instead (see ``_unit_context``):
+    ``pool`` and ``splits`` None, which the unit's process takes from its
+    run table, and no references.
     """
 
     seed: int
@@ -114,6 +171,42 @@ class SeedContext:
     references: tuple
     oracle_probs: dict = field(repr=False)
     ref_means: dict | None = field(repr=False)
+
+
+# This process's run tables, innermost last, one per open ``_mapper``
+# block (a pool worker's one for the life of its pool): the run's config
+# and {seed: (pool, splits)} of each seed loaded so far, or None for a
+# block without a config.
+_run_tables = []
+
+
+def _run_table():
+    """The innermost open run table, or None."""
+    return _run_tables[-1] if _run_tables else None
+
+
+@contextmanager
+def _seed_table(cfg: ExperimentConfig | None):
+    """Open an empty run table for ``cfg`` (none for None) for the
+    block; on exit the table open before is the innermost again."""
+    _run_tables.append(None if cfg is None else (cfg, {}))
+    try:
+        yield
+    finally:
+        _run_tables.pop()
+
+
+def _seed_data(seed: int, cfg: ExperimentConfig | None = None):
+    """The seed's (pool, splits): from this process's run table, loaded
+    into it at most once, or loaded afresh for ``cfg`` when no table is
+    open."""
+    table = _run_table()
+    if table is None:
+        return _load_seed_data(cfg, seed)
+    run_cfg, loaded = table
+    if seed not in loaded:
+        loaded[seed] = _load_seed_data(run_cfg, seed)
+    return loaded[seed]
 
 
 def _load_seed_data(cfg: ExperimentConfig, seed: int):
@@ -132,13 +225,16 @@ def _load_seed_data(cfg: ExperimentConfig, seed: int):
     return pool, make_splits(pool, test, cfg.forget_fraction, derive_seed(seed, "split"))
 
 
-def _train_frozen(cfg: ExperimentConfig, seed: int, pool: Dataset,
-                  splits: DataSplits, job: int):
-    """(model, predictions) for one frozen model of the seed: job 0 the
-    base model (None), job 1 the retrain oracle (probability rows on
+def _train_frozen(cfg: ExperimentConfig, seed: int, job: int):
+    """(model, predictions, data) for one frozen model of the seed: job 0
+    the base model (None), job 1 the retrain oracle (probability rows on
     retain and test), job 2 + i attack reference i (true-label
-    probabilities on forget and test).  The training draw is dropped
-    before the forwards, which fill each split's array block by block."""
+    probabilities on forget and test).  The seed's data comes from
+    ``_seed_data``; job 0 also returns it as ``data`` (None for the
+    others), the copy the seed's context keeps.  The training draw is
+    dropped before the forwards, which fill each split's array block by
+    block."""
+    pool, splits = _seed_data(seed, cfg)
     if job == 0:
         init, stream, i, kept = "init", "base", 0, ()
         data, rows = pool, np.sort(np.concatenate([splits.forget, splits.retain]))
@@ -159,7 +255,7 @@ def _train_frozen(cfg: ExperimentConfig, seed: int, pool: Dataset,
         for rows, x, y in blocks:
             probs = forward_probs(model, x)
             kept_rows[rows] = probs if job == 1 else _true_label(probs, y)
-    return model, predictions or None
+    return model, predictions or None, (pool, splits) if job == 0 else None
 
 
 def _reference_rows(cfg: ExperimentConfig, seed: int, pool: Dataset,
@@ -186,20 +282,25 @@ def prepare_seed(cfg: ExperimentConfig, seed: int, with_references: bool = True,
     exists, each reference instead trains on a seeded half of the retain
     set (documented fallback, still disjoint from forget and test).
 
-    The work runs as two rounds of jobs through ``pmap`` (the built-in
-    map, or a pool's from ``_mapper``): the seed's data is loaded once,
-    then each frozen model is trained and forwarded by its own job
-    (``_train_frozen``), in the order base, retrain, references.  The
-    caller only averages the references' vectors, so under a process
-    pool it forwards nothing, which keeps its peak memory down.  A
-    failing job raises its own error, the first in job order.
+    The work runs as one round of jobs through ``pmap`` (the built-in
+    map, or a pool's from ``_mapper``): each frozen model is trained and
+    forwarded by its own job (``_train_frozen``), in the order base,
+    retrain, references.  A job takes the seed's data from its process's
+    run table, so each process loads it at most once per run and no
+    dataset is sent to a job; the base job returns the context's copy.
+    Called outside a run of ``cfg``, this call opens a table of its own,
+    so the data is loaded afresh, once.  The caller only averages the
+    references' vectors, so under a process pool it forwards nothing,
+    which keeps its peak memory down.  A failing job raises its own
+    error, the first in job order.
     """
-    [(pool, splits)] = pmap(_load_seed_data, [cfg], [seed])
-    jobs = range(2 + (cfg.rmia_refs if with_references else 0))
-    models, preds = zip(*pmap(partial(_train_frozen, cfg, seed, pool, splits), jobs))
+    table = _run_table()
+    with nullcontext() if table is not None and table[0] is cfg else _seed_table(cfg):
+        jobs = range(2 + (cfg.rmia_refs if with_references else 0))
+        models, preds, data = zip(*pmap(partial(_train_frozen, cfg, seed), jobs))
     ref_means = {s: _reference_mean([p[s] for p in preds[2:]])
                  for s in _ATTACK_SPLITS} if preds[2:] else None
-    return SeedContext(seed, pool, splits, *models[:2], models[2:], preds[1], ref_means)
+    return SeedContext(seed, *data[0], *models[:2], models[2:], preds[1], ref_means)
 
 
 def evaluate_model(name: str, model: Model, ctx: SeedContext,
@@ -328,19 +429,34 @@ def _slices(points: list, count: int) -> list:
     return [points[i * n // count:(i + 1) * n // count] for i in range(count)]
 
 
+def _unit_context(ctx: SeedContext, base_pair: bool) -> SeedContext:
+    """``ctx`` as a scoring unit ships it, with only what the unit reads:
+    the seed, the base model, the oracle's and the references'
+    predictions, and the retrain oracle for the base/retrain unit only.
+    The data stays behind (``pool`` and ``splits`` None)."""
+    return replace(ctx, pool=None, splits=None, references=(),
+                   retrain_model=ctx.retrain_model if base_pair else None)
+
+
 def _score_unit(ctx: SeedContext, ucfgs: list | None) -> list:
     """One scoring job of one seed: its outcomes in order, the last of
     them a SeedFailure if a point failed (later points are not run).
 
-    ``ucfgs`` None scores the base model and the retrain oracle, one
-    (base, retrain) outcome (see score_base_and_retrain); otherwise it is
-    a slice of one method's points (see _run_slice), each unlearned from
-    the base model and evaluated, its report's gap columns left at zero.
-    The failure's stage names the step that raised: "evaluate",
-    "unlearn:<method>" or "evaluate:<method>".
+    ``ctx`` is a full context or a unit's lean one (see _unit_context),
+    whose data the unit takes from its process's run table (see
+    _seed_data), loaded there at most once per run.  ``ucfgs`` None
+    scores the base model and the retrain oracle, one (base, retrain)
+    outcome (see score_base_and_retrain); otherwise it is a slice of one
+    method's points (see _run_slice), each unlearned from the base model
+    and evaluated, its report's gap columns left at zero.  The failure's
+    stage names the step that raised: "evaluate", "unlearn:<method>" or
+    "evaluate:<method>".
     """
     stage, outcomes = "evaluate", []
     try:
+        if ctx.pool is None:
+            pool, splits = _seed_data(ctx.seed)
+            ctx = replace(ctx, pool=pool, splits=splits)
         if ucfgs is None:
             return [score_base_and_retrain(ctx)]
         models = _run_slice(ctx.base_model, ctx.splits, ctx.pool, ucfgs)
@@ -360,11 +476,14 @@ def _score_unit(ctx: SeedContext, ucfgs: list | None) -> list:
 def _score(pmap, workers: int, work: list) -> list:
     """Score ``work``, a list of (SeedContext, points), points a list of
     UnlearnConfig cut by _slices or None for the base/retrain pair, one
-    _score_unit job per slice through ``pmap``.  Returns (seed, point,
-    outcome) in ``work`` order; a slice's points after its failure get none."""
+    _score_unit job per slice through ``pmap``, inside a ``_mapper``
+    block of the run's config; each job gets its context without the
+    data (see _unit_context).  Returns (seed, point, outcome) in
+    ``work`` order; a slice's points after its failure get none."""
     units = [(ctx, part) for ctx, points in work
              for part in ([None] if points is None else _slices(points, workers))]
-    scored = pmap(_score_unit, [ctx for ctx, _ in units], [part for _, part in units])
+    scored = pmap(_score_unit, [_unit_context(ctx, part is None) for ctx, part in units],
+                  [part for _, part in units])
     return [(ctx.seed, point, outcome) for (ctx, part), outcomes in zip(units, scored)
             for point, outcome in zip(part or [None], outcomes)]
 
@@ -387,46 +506,64 @@ def _openblas_threads():
     return None
 
 
-def _init_worker() -> None:
-    """Pool initializer: one OpenBLAS thread per worker.
+def _init_worker(cfg: ExperimentConfig | None) -> None:
+    """Pool initializer: one OpenBLAS thread per worker, and the run
+    table of ``cfg`` (none for None) for the life of the pool.
 
     A forked worker inherits the parent's BLAS thread count, so N workers
     would spin N times that many threads on the cores.  The environment
     variable is read only when numpy loads, which under fork has already
     happened, so the count is set through the library itself.
     """
+    _run_tables[:] = [None if cfg is None else (cfg, {})]
     threads = _openblas_threads()
     if threads is not None:
         _, set_threads = threads
         set_threads(1)
 
 
+@cache  # so a process says it once
+def _say_blas_is_unpinned() -> None:
+    print("unlearnlab: numpy bundles no OpenBLAS here, so BLAS threads are "
+          "not pinned to one per process", file=sys.stderr)
+
+
 @contextmanager
-def _mapper(workers: int):
+def _mapper(workers: int, cfg: ExperimentConfig | None = None):
     """The built-in ``map`` for one worker, else the ``map`` of one
-    process pool; results come back in input order either way.  Every
+    process pool; results come back in input order either way.
+
+    For ``cfg`` every process that computes holds the run table of
+    ``cfg`` for the block (the caller's, or each worker's from the pool
+    initializer), where ``_seed_data`` keeps each seed's data.  Every
     process that computes runs BLAS on one thread (a serial caller for
     the block, its OpenBLAS count restored on exit; each pool worker for
     good; a pooled caller computes nothing), so parallelism comes only
-    from ``workers``, an integer >= 1."""
+    from ``workers``, an integer >= 1.  Where numpy bundles no OpenBLAS
+    nothing is pinned, which the first such block in a process says on
+    stderr.
+    """
     workers = _value(int, workers, "workers")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker) as pool:
-            yield pool.map
-        return
     threads = _openblas_threads()
     if threads is None:
-        yield map
-        return
-    get_threads, set_threads = threads
-    before = get_threads()
-    set_threads(1)
-    try:
-        yield map
-    finally:
-        set_threads(before)
+        _say_blas_is_unpinned()
+    with _seed_table(cfg):
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                     initargs=(cfg,)) as pool:
+                yield pool.map
+        elif threads is None:
+            yield map
+        else:
+            get_threads, set_threads = threads
+            before = get_threads()
+            set_threads(1)
+            try:
+                yield map
+            finally:
+                set_threads(before)
 
 
 def _combo_key(config: UnlearnConfig) -> tuple:
@@ -499,14 +636,15 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunResult:
     order, then each prepared seed's base/retrain pair and method grids
     through ``_score``.  Every process that computes runs BLAS on one
     thread (see ``_mapper``).  ``workers`` > 1 runs it all on one process
-    pool: ``prepare_seed`` sends each seed's data load and frozen-model
-    trainings to it as separate jobs, so even one seed keeps the workers
-    busy.  Results are reduced in seed, then grid order, so parallel and
-    serial runs produce identical reports.  A seed whose preparation or
+    pool, which gets the config once: ``prepare_seed`` sends each seed's
+    frozen-model trainings to it as separate jobs, so even one seed keeps
+    the workers busy, and each worker loads a seed's data at most once.
+    Results are reduced in seed, then grid order, so parallel and serial
+    runs produce identical reports.  A seed whose preparation or
     any unit fails is recorded with its first failure in that order and
     skipped; the rest of the run proceeds.
     """
-    with _mapper(workers) as pmap:
+    with _mapper(workers, cfg) as pmap:
         prepared = []
         for seed in sorted(cfg.seeds):
             try:  # by its module name, which the tracer and tests patch
@@ -561,11 +699,15 @@ def sweep_tradeoff(cfg: ExperimentConfig, method: str, w_grid,
     The non-w hyperparameters are the ones selection picked for the
     method (lr, gamma); pass ``result`` to reuse an existing run's
     models and the points in its grid, otherwise the experiment is run
-    first.  The other points are scored through ``_score``.  The first
-    failing point in w, then seed order raises ValueError naming its
-    seed and stage; a repeated w raises ValueError up front, as a
-    repeated grid value does.  Returns one SweepPoint per w in grid order.
+    first.  The other points are scored through ``_score``, whose
+    processes load the run's data afresh.  The first failing point in w,
+    then seed order raises ValueError naming its seed and stage; a
+    repeated w raises ValueError up front, as a repeated grid value
+    does, and so does a ``result`` run on another config than ``cfg``.
+    Returns one SweepPoint per w in grid order.
     """
+    if result is not None and config_to_dict(result.config) != config_to_dict(cfg):
+        raise ValueError("result was run on another config than the sweep's")
     if method not in W_METHODS:
         raise ValueError(f"method {method!r} has no w to sweep")
     if method not in cfg.methods:
@@ -585,7 +727,7 @@ def sweep_tradeoff(cfg: ExperimentConfig, method: str, w_grid,
     wanted = {(w, seed): replace(anchor, w=w, seed=derive_seed(seed, "unlearn"))
               for w in ws for seed in seeds}
     found = {gr.config: gr.report for gr in result.grid}
-    with _mapper(workers) as pmap:
+    with _mapper(workers, result.config) as pmap:
         found.update((point, outcome) for _, point, outcome in _score(pmap, workers, [
             (result.contexts[seed], [wanted[w, seed] for w in ws if wanted[w, seed] not in found])
             for seed in seeds]))

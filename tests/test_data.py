@@ -93,6 +93,24 @@ def test_dataset_refuses_labels_that_are_not_integers(labels, bad):
         ul.Dataset(np.zeros((3, 2)), labels, 3)
 
 
+@pytest.mark.parametrize("k", [2.5, np.float64(2.0), True])
+def test_dataset_refuses_a_class_count_that_is_not_an_integer(k):
+    # 2.5 used to be kept, and the first class_histogram raised TypeError
+    with pytest.raises(DataError, match=r"^num_classes: expected an integer, got "):
+        ul.Dataset(np.zeros((2, 2)), [1, 2], k)
+
+
+def test_dataset_stores_a_numpy_class_count_as_an_int():
+    ds = ul.Dataset(np.zeros((2, 2)), [1, 3], np.int64(3))
+    assert type(ds.num_classes) is int and ds.num_classes == 3
+    assert ul.class_histogram(ds.labels, ds.num_classes).tolist() == [1, 0, 1]
+
+
+def test_dataset_refuses_fewer_than_two_classes():
+    with pytest.raises(DataError, match="^num_classes must be >= 2$"):
+        ul.Dataset(np.zeros((2, 2)), [1, 1], 1)
+
+
 def test_integral_float_labels_are_accepted():
     ds = ul.Dataset(np.zeros((3, 2)), np.array([1.0, 3.0, 2.0]), 3)
     assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [1, 3, 2]

@@ -1,9 +1,14 @@
 """Harness: seeds, config serialization, selection, runs, reports."""
 
 import importlib
+import io
 import json
 import math
 import os
+import pickle
+import subprocess
+import sys
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -566,6 +571,17 @@ def test_pool_workers_pin_blas_to_one_thread(tiny_cfg):
     assert threads[0]() == before
 
 
+def test_a_mapper_says_once_that_blas_runs_unpinned(monkeypatch, capsys):
+    monkeypatch.setattr(harness, "_openblas_threads", lambda: None)
+    harness._say_blas_is_unpinned.cache_clear()
+    for _ in range(2):
+        with harness._mapper(1) as pmap:
+            assert list(pmap(abs, [-1])) == [1]
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("unlearnlab: numpy bundles no OpenBLAS here")
+
+
 @pytest.fixture
 def blas_threads():
     """The getter of numpy's OpenBLAS thread count, which is 2 for the
@@ -694,6 +710,13 @@ def test_a_sweep_without_a_run_runs_the_experiment_first(tiny_cfg, tiny_run):
     alone = ul.sweep_tradeoff(tiny_cfg, "regun", ws)
     assert alone == ul.sweep_tradeoff(tiny_cfg, "regun", ws, result=tiny_run)
     assert [p.w for p in alone] == list(ws)
+
+
+def test_a_sweep_refuses_a_run_of_another_config(tiny_cfg, tiny_run):
+    # its units would score the run's models on the run's data
+    other = replace(tiny_cfg, forget_fraction=0.2)
+    with pytest.raises(ValueError, match="^result was run on another config"):
+        ul.sweep_tradeoff(other, "regun", (0.5,), result=tiny_run)
 
 
 def test_sweep_rejects_non_w_methods(tiny_cfg, tiny_run):
@@ -1068,8 +1091,50 @@ def test_prepare_seed_maps_the_data_job_then_one_job_per_frozen_model(
 
     ctx = ul.prepare_seed(tiny_cfg, 0, with_references, pmap=recording)
     refs = tiny_cfg.rmia_refs if with_references else 0
-    assert rounds == [1, 2 + refs]
+    assert rounds == [2 + refs]  # the data is loaded by the jobs, not a round of its own
     assert len(ctx.references) == refs
+
+
+def test_a_pooled_run_leaves_numpy_random_unloaded_in_the_parent(tiny_cfg):
+    # a fresh interpreter, since this one has loaded numpy.random already
+    code = ("import json, sys\n"
+            "import unlearnlab as ul\n"
+            "result = ul.run_experiment(ul.config_from_dict(json.loads(sys.argv[1])), 2)\n"
+            "print(len(result.contexts), 'numpy.random' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(ul.__file__))
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(ul.config_to_dict(tiny_cfg))],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.split() == [str(len(tiny_cfg.seeds)), "False"]
+
+
+def test_no_job_or_unit_of_a_pooled_run_carries_data_or_references(tiny_cfg, monkeypatch):
+    real, carried, models = harness._mapper, set(), []
+
+    class Recorder(pickle.Pickler):
+        def persistent_id(self, obj):
+            if isinstance(obj, (ul.Dataset, ul.DataSplits)):
+                carried.add(type(obj).__name__)
+            elif isinstance(obj, ul.Model):
+                models.append(obj)  # kept, so that its id stays its own
+            return None
+
+    @contextmanager
+    def recording(*args, **kwargs):
+        with real(*args, **kwargs) as pmap:
+            def checked(fn, *iterables):
+                iterables = [list(it) for it in iterables]
+                for arg in [fn, *(a for it in iterables for a in it)]:
+                    Recorder(io.BytesIO()).dump(arg)
+                return pmap(fn, *iterables)
+            yield checked
+
+    monkeypatch.setattr(harness, "_mapper", recording)
+    result = ul.run_experiment(tiny_cfg, workers=2)
+    assert sorted(result.contexts) == sorted(tiny_cfg.seeds)
+    assert carried == set()
+    references = {id(m) for ctx in result.contexts.values() for m in ctx.references}
+    assert models and not references & {id(m) for m in models}
 
 
 def test_a_pooled_run_computes_nothing_in_the_parent(tiny_cfg, monkeypatch):

@@ -1,7 +1,7 @@
 """Property tests: the attack AUC, histogram matching, pool splits,
 bit-exact round trips of every row file, exact gradients, the blocked
-forward pass, the step plans of the paired unlearning methods and the
-type rule of every config field."""
+forward pass, the step plans of the paired unlearning methods, the
+type rule of every config field and derive_seed's agreement with numpy."""
 
 import importlib
 import math
@@ -21,6 +21,7 @@ from hypothesis.extra.numpy import arrays
 
 import unlearnlab as ul
 from unlearnlab import AttackScores, LossSpec, UnlearnConfig
+from unlearnlab.harness import _STREAMS
 from unlearnlab.report import METRICS_HEADER, write_metrics_csv
 from unlearnlab.metrics import REPORT_FIELDS
 from unlearnlab.textio import FLOAT_FMT, parse_cell
@@ -651,3 +652,31 @@ def test_each_out_of_range_value_gets_its_exact_message(build, message):
     with pytest.raises(ValueError) as info:
         build()
     assert str(info.value) == message
+
+
+# ---------------------------------------------------------------- derive_seed
+
+# entropy entries of one, two and three 32-bit words
+entropy_ints = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1),
+                         st.integers(2**64, 2**70))
+
+
+def numpy_seed(seed, stream, index) -> int:
+    entropy = [seed, _STREAMS[stream], index]
+    return int(np.random.SeedSequence(entropy).generate_state(1, dtype=np.uint64)[0])
+
+
+@pytest.mark.parametrize("stream", sorted(_STREAMS))
+@given(seed=entropy_ints, index=entropy_ints)
+def test_derive_seed_is_numpys_seed_sequence(stream, seed, index):
+    assert ul.derive_seed(seed, stream, index) == numpy_seed(seed, stream, index)
+
+
+@pytest.mark.parametrize("error, bad", [
+    (ValueError, -1), (ValueError, -(2**40)), (TypeError, 1.0), (TypeError, np.float64(2.0))])
+@pytest.mark.parametrize("where", ["seed", "index"])
+def test_derive_seed_refuses_what_numpy_refuses(error, bad, where):
+    args = {"seed": 3, "index": 0, where: bad}
+    for derive in (ul.derive_seed, numpy_seed):
+        with pytest.raises(error):
+            derive(args["seed"], "ref_data", args["index"])
