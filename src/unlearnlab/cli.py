@@ -61,8 +61,8 @@ def _acc_line(name, report) -> str:
 def cmd_train(args) -> int:
     cfg = _config_from_args(args)
     seed = cfg.seeds[0]
-    with _mapper(1):
-        ctx = prepare_seed(cfg, seed, with_references=False)
+    with _mapper(1, cfg) as pmap:
+        ctx = prepare_seed(cfg, seed, with_references=False, pmap=pmap)
     os.makedirs(args.out, exist_ok=True)
     for name, model in (("base", ctx.base_model), ("retrain", ctx.retrain_model)):
         path = os.path.join(args.out, f"{name}_seed{seed}.ckpt")
@@ -76,8 +76,8 @@ def cmd_unlearn(args) -> int:
     seed = cfg.seeds[0]
     cfg = _restrict_methods(cfg, args.method)
     ucfg = method_grid_configs(cfg, args.method, seed)[0]
-    with _mapper(1):
-        ctx = prepare_seed(cfg, seed, with_references=False)
+    with _mapper(1, cfg) as pmap:
+        ctx = prepare_seed(cfg, seed, with_references=False, pmap=pmap)
         model = unlearn(ctx.base_model, ctx.splits, ctx.pool, ucfg)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"{args.method}_seed{seed}.ckpt")
@@ -93,8 +93,8 @@ def cmd_evaluate(args) -> int:
     # a bad one fails at once
     names = checkpoint_row_names(args.checkpoints)
     models = [(name, load_checkpoint(path)) for name, path in zip(names, args.checkpoints)]
-    with _mapper(1):
-        ctx = prepare_seed(cfg, seed)
+    with _mapper(1, cfg) as pmap:
+        ctx = prepare_seed(cfg, seed, pmap=pmap)
         base, retrain = score_base_and_retrain(ctx)
         rows = [base, retrain]
         for name, model in models:

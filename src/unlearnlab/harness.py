@@ -19,6 +19,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
+from contextvars import ContextVar
 from dataclasses import dataclass, field, fields, replace
 from functools import cache, partial
 from itertools import product
@@ -158,9 +159,10 @@ class SeedContext:
     probability rows on the retain and test splits, for the JS
     divergences, and the references' mean true-label probability on the
     forget and test splits, for the RMIA score (None without references).
-    A scoring unit ships a lean copy instead (see ``_unit_context``):
-    ``pool`` and ``splits`` None, which the unit's process takes from its
-    run table, and no references.
+    ``pool`` and ``splits`` are the open run's copy of the seed's data
+    (see ``_seed_data``).  A scoring unit ships a lean copy instead (see
+    ``_unit_context``): ``pool`` and ``splits`` None, which the unit's
+    process takes from its own open run, and no references.
     """
 
     seed: int
@@ -173,68 +175,44 @@ class SeedContext:
     ref_means: dict | None = field(repr=False)
 
 
-# This process's run tables, innermost last, one per open ``_mapper``
-# block (a pool worker's one for the life of its pool): the run's config
-# and {seed: (pool, splits)} of each seed loaded so far, or None for a
-# block without a config.
-_run_tables = []
+# The open run of this thread's context: its config and {seed: (pool,
+# splits)} of each seed loaded so far.  Only ``_mapper`` sets it, for its
+# block, and ``_init_worker``, for a pool worker's life; a thread sees
+# only the runs it opened.
+_run = ContextVar("_run")
 
 
-def _run_table():
-    """The innermost open run table, or None."""
-    return _run_tables[-1] if _run_tables else None
-
-
-@contextmanager
-def _seed_table(cfg: ExperimentConfig | None):
-    """Open an empty run table for ``cfg`` (none for None) for the
-    block; on exit the table open before is the innermost again."""
-    _run_tables.append(None if cfg is None else (cfg, {}))
-    try:
-        yield
-    finally:
-        _run_tables.pop()
-
-
-def _seed_data(seed: int, cfg: ExperimentConfig | None = None):
-    """The seed's (pool, splits): from this process's run table, loaded
-    into it at most once, or loaded afresh for ``cfg`` when no table is
-    open."""
-    table = _run_table()
-    if table is None:
-        return _load_seed_data(cfg, seed)
-    run_cfg, loaded = table
+def _seed_data(seed: int):
+    """The seed's (pool, splits) in the open run, generated or loaded
+    and checked there at most once."""
+    cfg, loaded = _run.get()
     if seed not in loaded:
-        loaded[seed] = _load_seed_data(run_cfg, seed)
+        if cfg.gen is not None:
+            pool = generate_gaussian_mixture(replace(cfg.gen, seed=derive_seed(seed, "data")))
+            test = generate_gaussian_mixture(replace(cfg.gen, seed=derive_seed(seed, "test")))
+        else:
+            k = cfg.arch.num_classes
+            pool = load_csv(cfg.pool_csv, header=cfg.csv_header, num_classes=k)
+            test = load_csv(cfg.test_csv, header=cfg.csv_header, num_classes=k)
+        if pool.input_dim != cfg.arch.input_dim:
+            raise ValueError("pool feature width does not match arch.input_dim")
+        if pool.num_classes != cfg.arch.num_classes:
+            raise ValueError("pool classes do not match arch.num_classes")
+        loaded[seed] = pool, make_splits(pool, test, cfg.forget_fraction,
+                                         derive_seed(seed, "split"))
     return loaded[seed]
-
-
-def _load_seed_data(cfg: ExperimentConfig, seed: int):
-    """The seed's (pool, splits), generated or loaded and checked."""
-    if cfg.gen is not None:
-        pool = generate_gaussian_mixture(replace(cfg.gen, seed=derive_seed(seed, "data")))
-        test = generate_gaussian_mixture(replace(cfg.gen, seed=derive_seed(seed, "test")))
-    else:
-        k = cfg.arch.num_classes
-        pool = load_csv(cfg.pool_csv, header=cfg.csv_header, num_classes=k)
-        test = load_csv(cfg.test_csv, header=cfg.csv_header, num_classes=k)
-    if pool.input_dim != cfg.arch.input_dim:
-        raise ValueError("pool feature width does not match arch.input_dim")
-    if pool.num_classes != cfg.arch.num_classes:
-        raise ValueError("pool classes do not match arch.num_classes")
-    return pool, make_splits(pool, test, cfg.forget_fraction, derive_seed(seed, "split"))
 
 
 def _train_frozen(cfg: ExperimentConfig, seed: int, job: int):
     """(model, predictions, data) for one frozen model of the seed: job 0
     the base model (None), job 1 the retrain oracle (probability rows on
     retain and test), job 2 + i attack reference i (true-label
-    probabilities on forget and test).  The seed's data comes from
-    ``_seed_data``; job 0 also returns it as ``data`` (None for the
-    others), the copy the seed's context keeps.  The training draw is
-    dropped before the forwards, which fill each split's array block by
-    block."""
-    pool, splits = _seed_data(seed, cfg)
+    probabilities on forget and test).  The seed's data comes from the
+    open run of ``cfg`` (see ``_seed_data``); job 0 also returns it as
+    ``data`` (None for the others), the copy the seed's context keeps.
+    The training draw is dropped before the forwards, which fill each
+    split's array block by block."""
+    pool, splits = _seed_data(seed)
     if job == 0:
         init, stream, i, kept = "init", "base", 0, ()
         data, rows = pool, np.sort(np.concatenate([splits.forget, splits.retain]))
@@ -272,7 +250,7 @@ def _reference_rows(cfg: ExperimentConfig, seed: int, pool: Dataset,
 
 
 def prepare_seed(cfg: ExperimentConfig, seed: int, with_references: bool = True,
-                 pmap=map) -> SeedContext:
+                 pmap=None) -> SeedContext:
     """Data, splits, base model, retrain oracle, and reference models.
 
     The base model trains on forget + retain; validation and held-out
@@ -282,20 +260,23 @@ def prepare_seed(cfg: ExperimentConfig, seed: int, with_references: bool = True,
     exists, each reference instead trains on a seeded half of the retain
     set (documented fallback, still disjoint from forget and test).
 
-    The work runs as one round of jobs through ``pmap`` (the built-in
-    map, or a pool's from ``_mapper``): each frozen model is trained and
+    The work runs as one round of jobs, each frozen model trained and
     forwarded by its own job (``_train_frozen``), in the order base,
-    retrain, references.  A job takes the seed's data from its process's
-    run table, so each process loads it at most once per run and no
-    dataset is sent to a job; the base job returns the context's copy.
-    Called outside a run of ``cfg``, this call opens a table of its own,
-    so the data is loaded afresh, once.  The caller only averages the
-    references' vectors, so under a process pool it forwards nothing,
-    which keeps its peak memory down.  A failing job raises its own
-    error, the first in job order.
+    retrain, references.  ``pmap`` is the map of the open ``_mapper``
+    block of this same ``cfg`` object, its run's built-in map or process
+    pool; any other map raises ValueError.  Without one, the call runs
+    in a serial run of its own, so the data is loaded afresh, once.  A
+    job takes the seed's data from its process's open run, so each
+    process loads it at most once per run and no dataset is sent to a
+    job; the base job returns the context's copy.  The caller only
+    averages the references' vectors, so under a process pool it
+    forwards nothing, which keeps its peak memory down.  A failing job
+    raises its own error, the first in job order.
     """
-    table = _run_table()
-    with nullcontext() if table is not None and table[0] is cfg else _seed_table(cfg):
+    run = _run.get(None)
+    if pmap is not None and (run is None or run[0] is not cfg):
+        raise ValueError("pmap must be the map of the open run of this config")
+    with nullcontext(pmap) if pmap is not None else _mapper(1, cfg) as pmap:
         jobs = range(2 + (cfg.rmia_refs if with_references else 0))
         models, preds, data = zip(*pmap(partial(_train_frozen, cfg, seed), jobs))
     ref_means = {s: _reference_mean([p[s] for p in preds[2:]])
@@ -442,21 +423,21 @@ def _score_unit(ctx: SeedContext, ucfgs: list | None) -> list:
     """One scoring job of one seed: its outcomes in order, the last of
     them a SeedFailure if a point failed (later points are not run).
 
-    ``ctx`` is a full context or a unit's lean one (see _unit_context),
-    whose data the unit takes from its process's run table (see
-    _seed_data), loaded there at most once per run.  ``ucfgs`` None
-    scores the base model and the retrain oracle, one (base, retrain)
-    outcome (see score_base_and_retrain); otherwise it is a slice of one
-    method's points (see _run_slice), each unlearned from the base model
-    and evaluated, its report's gap columns left at zero.  The failure's
+    The unit runs in a ``_mapper`` block of the run's config, or in a
+    pool worker of one, and takes the seed's data from that open run
+    (see _seed_data), loaded there at most once per run; any data ``ctx``
+    carries is not read (see _unit_context).  ``ucfgs`` None scores the
+    base model and the retrain oracle, one (base, retrain) outcome (see
+    score_base_and_retrain); otherwise it is a slice of one method's
+    points (see _run_slice), each unlearned from the base model and
+    evaluated, its report's gap columns left at zero.  The failure's
     stage names the step that raised: "evaluate", "unlearn:<method>" or
     "evaluate:<method>".
     """
     stage, outcomes = "evaluate", []
     try:
-        if ctx.pool is None:
-            pool, splits = _seed_data(ctx.seed)
-            ctx = replace(ctx, pool=pool, splits=splits)
+        pool, splits = _seed_data(ctx.seed)
+        ctx = replace(ctx, pool=pool, splits=splits)
         if ucfgs is None:
             return [score_base_and_retrain(ctx)]
         models = _run_slice(ctx.base_model, ctx.splits, ctx.pool, ucfgs)
@@ -506,16 +487,16 @@ def _openblas_threads():
     return None
 
 
-def _init_worker(cfg: ExperimentConfig | None) -> None:
-    """Pool initializer: one OpenBLAS thread per worker, and the run
-    table of ``cfg`` (none for None) for the life of the pool.
+def _init_worker(cfg: ExperimentConfig) -> None:
+    """Pool initializer: one OpenBLAS thread per worker, and an open run
+    of ``cfg``, with no seed loaded yet, for the life of the pool.
 
     A forked worker inherits the parent's BLAS thread count, so N workers
     would spin N times that many threads on the cores.  The environment
     variable is read only when numpy loads, which under fork has already
     happened, so the count is set through the library itself.
     """
-    _run_tables[:] = [None if cfg is None else (cfg, {})]
+    _run.set((cfg, {}))
     threads = _openblas_threads()
     if threads is not None:
         _, set_threads = threads
@@ -529,19 +510,20 @@ def _say_blas_is_unpinned() -> None:
 
 
 @contextmanager
-def _mapper(workers: int, cfg: ExperimentConfig | None = None):
-    """The built-in ``map`` for one worker, else the ``map`` of one
-    process pool; results come back in input order either way.
+def _mapper(workers: int, cfg: ExperimentConfig):
+    """The run of ``cfg`` for the block: the built-in ``map`` for one
+    worker, else the ``map`` of one process pool; results come back in
+    input order either way.
 
-    For ``cfg`` every process that computes holds the run table of
-    ``cfg`` for the block (the caller's, or each worker's from the pool
-    initializer), where ``_seed_data`` keeps each seed's data.  Every
-    process that computes runs BLAS on one thread (a serial caller for
-    the block, its OpenBLAS count restored on exit; each pool worker for
-    good; a pooled caller computes nothing), so parallelism comes only
-    from ``workers``, an integer >= 1.  Where numpy bundles no OpenBLAS
-    nothing is pinned, which the first such block in a process says on
-    stderr.
+    The block is the open run of ``cfg`` in the caller's context, and
+    each pool worker opens one from its initializer (see _init_worker);
+    ``_seed_data`` keeps each seed's data there.  On exit the run open
+    before, if any, is the open one again.  Every process that computes
+    runs BLAS on one thread (a serial caller for the block, its OpenBLAS
+    count restored on exit; each pool worker for good; a pooled caller
+    computes nothing), so parallelism comes only from ``workers``, an
+    integer >= 1.  Where numpy bundles no OpenBLAS nothing is pinned,
+    which the first such block in a process says on stderr.
     """
     workers = _value(int, workers, "workers")
     if workers < 1:
@@ -549,7 +531,8 @@ def _mapper(workers: int, cfg: ExperimentConfig | None = None):
     threads = _openblas_threads()
     if threads is None:
         _say_blas_is_unpinned()
-    with _seed_table(cfg):
+    token = _run.set((cfg, {}))
+    try:
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                      initargs=(cfg,)) as pool:
@@ -564,6 +547,8 @@ def _mapper(workers: int, cfg: ExperimentConfig | None = None):
                 yield map
             finally:
                 set_threads(before)
+    finally:
+        _run.reset(token)
 
 
 def _combo_key(config: UnlearnConfig) -> tuple:

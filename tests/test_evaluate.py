@@ -144,7 +144,7 @@ def test_a_diverged_grid_point_fails_at_its_evaluate_stage(tiny_cfg, ctx, monkey
     unlearn_module = sys.modules["unlearnlab.unlearn"]
     monkeypatch.setattr(unlearn_module, "_run", lambda _, base, *__: overflowing(base))
     ucfg = harness.method_grid_configs(tiny_cfg, "finetune", ctx.seed)[0]
-    with np.errstate(over="ignore"):
+    with harness._mapper(1, tiny_cfg), np.errstate(over="ignore"):
         [failure] = harness._score_unit(ctx, [ucfg])
     assert failure.stage == "evaluate:finetune"
     assert failure.error.startswith(

@@ -8,6 +8,7 @@ import os
 import pickle
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -565,17 +566,17 @@ def test_pool_workers_pin_blas_to_one_thread(tiny_cfg):
     if threads is None:
         pytest.skip("numpy bundles no OpenBLAS here")
     before = threads[0]()
-    with harness._mapper(2) as pmap:
+    with harness._mapper(2, tiny_cfg) as pmap:
         assert list(pmap(_blas_threads_here, range(4))) == [1] * 4
     ul.run_experiment(tiny_cfg, workers=2)
     assert threads[0]() == before
 
 
-def test_a_mapper_says_once_that_blas_runs_unpinned(monkeypatch, capsys):
+def test_a_mapper_says_once_that_blas_runs_unpinned(tiny_cfg, monkeypatch, capsys):
     monkeypatch.setattr(harness, "_openblas_threads", lambda: None)
     harness._say_blas_is_unpinned.cache_clear()
     for _ in range(2):
-        with harness._mapper(1) as pmap:
+        with harness._mapper(1, tiny_cfg) as pmap:
             assert list(pmap(abs, [-1])) == [1]
     err = capsys.readouterr().err
     assert err.count("\n") == 1
@@ -1089,7 +1090,8 @@ def test_prepare_seed_maps_the_data_job_then_one_job_per_frozen_model(
         rounds.append(len(jobs))
         return [fn(*job) for job in jobs]
 
-    ctx = ul.prepare_seed(tiny_cfg, 0, with_references, pmap=recording)
+    with harness._mapper(1, tiny_cfg):
+        ctx = ul.prepare_seed(tiny_cfg, 0, with_references, pmap=recording)
     refs = tiny_cfg.rmia_refs if with_references else 0
     assert rounds == [2 + refs]  # the data is loaded by the jobs, not a round of its own
     assert len(ctx.references) == refs
@@ -1221,3 +1223,56 @@ def test_a_rewritten_csv_is_read_again(tiny_cfg, tmp_path, monkeypatch):
     want = ul.generate_gaussian_mixture(replace(tiny_cfg.gen, seed=7))
     assert np.array_equal(again.pool.labels, want.labels)
     assert not np.array_equal(again.base_model.theta, first.base_model.theta)
+
+
+# ------------------------------------------------------------- the open run
+
+
+def test_threads_running_two_configs_each_get_a_lone_runs_rows(tiny_cfg):
+    # each thread opens its own runs, so neither is served the other's data
+    cfgs = [tiny_cfg, replace(tiny_cfg, forget_fraction=0.3)]
+    lone = [ul.run_experiment(cfg).rows for cfg in cfgs]
+    with ThreadPoolExecutor(max_workers=2) as threads:
+        got = list(threads.map(lambda cfg: [ul.run_experiment(cfg).rows for _ in range(5)],
+                               cfgs))
+    assert got == [[rows] * 5 for rows in lone]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_prepare_seed_refuses_a_map_of_another_run(tiny_cfg, workers):
+    other = replace(tiny_cfg, forget_fraction=0.3)
+    with harness._mapper(workers, tiny_cfg) as pmap:
+        with pytest.raises(ValueError, match="pmap must be the map of the open run"):
+            ul.prepare_seed(other, 0, pmap=pmap)
+    with pytest.raises(ValueError, match="pmap must be the map of the open run"):
+        ul.prepare_seed(tiny_cfg, 0, pmap=map)
+
+
+def test_no_run_stays_open_after_it_returns(tiny_cfg, monkeypatch):
+    one_seed = replace(tiny_cfg, seeds=(0,))
+    ul.run_experiment(one_seed)
+    assert harness._run.get(None) is None
+    ul.run_experiment(one_seed, workers=2)
+    assert harness._run.get(None) is None
+
+    def broken(*_):
+        raise RuntimeError("synthetic")
+
+    monkeypatch.setattr(harness, "method_grid_configs", broken)
+    with pytest.raises(RuntimeError, match="synthetic"):
+        ul.run_experiment(one_seed)
+    assert harness._run.get(None) is None
+    ul.prepare_seed(one_seed, 0, with_references=False)
+    assert harness._run.get(None) is None
+
+
+def test_prepare_seed_without_a_map_runs_in_a_run_of_its_own(tiny_cfg):
+    other = replace(tiny_cfg, forget_fraction=0.3)
+    with harness._mapper(1, tiny_cfg):
+        inner = ul.prepare_seed(other, 0, with_references=False).splits
+        outer = harness._seed_data(0)[1]
+    for splits, cfg in ((inner, other), (outer, tiny_cfg)):
+        want = ul.prepare_seed(cfg, 0, with_references=False).splits
+        for name in ("held_out", "forget", "validation", "retain"):
+            assert np.array_equal(getattr(splits, name), getattr(want, name))
+    assert inner.forget.size > outer.forget.size

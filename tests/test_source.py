@@ -147,3 +147,22 @@ def test_classes_on_the_field_rule_declare_ranges_on_their_hints():
     assert guarded == {"ArchitectureSpec", "Dataset", "ExperimentConfig", "GenSpec",
                        "LossSpec", "MethodGrid", "OptState", "RefDistConfig",
                        "TrainConfig", "UnlearnConfig"}
+
+
+def _opens_a_run(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "set" and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "_run")
+
+
+def test_only_the_mapper_and_the_pool_initializer_open_a_run():
+    # a run opened anywhere else could outlive its block or serve one
+    # config's data to another; each call is named by its innermost function
+    found = []
+    for path in SOURCES:
+        tree = parsed(path)
+        functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        for call in filter(_opens_a_run, ast.walk(tree)):
+            owners = [f.name for f in functions if any(n is call for n in ast.walk(f))]
+            found.append(f"{path.name}:{owners[-1] if owners else '<module>'}")
+    assert sorted(found) == ["harness.py:_init_worker", "harness.py:_mapper"]
