@@ -17,7 +17,7 @@ import glob
 import operator
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+import threading
 from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 from dataclasses import dataclass, field, fields, replace
@@ -509,6 +509,38 @@ def _say_blas_is_unpinned() -> None:
           "not pinned to one per process", file=sys.stderr)
 
 
+class _BlasPin:
+    """One OpenBLAS thread while any serial block of the process is open.
+
+    The thread count is process-wide, so the blocks of all threads share
+    one pin: the first to open saves the count and sets 1, the last to
+    close restores it, whatever order the blocks of two threads close in.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._open = 0
+        self._saved = None
+
+    @contextmanager
+    def held(self, get_threads, set_threads):
+        with self._lock:
+            if self._open == 0:
+                self._saved = get_threads()
+                set_threads(1)
+            self._open += 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._open -= 1
+                if self._open == 0:
+                    set_threads(self._saved)
+
+
+_BLAS_PIN = _BlasPin()
+
+
 @contextmanager
 def _mapper(workers: int, cfg: ExperimentConfig):
     """The run of ``cfg`` for the block: the built-in ``map`` for one
@@ -519,11 +551,13 @@ def _mapper(workers: int, cfg: ExperimentConfig):
     each pool worker opens one from its initializer (see _init_worker);
     ``_seed_data`` keeps each seed's data there.  On exit the run open
     before, if any, is the open one again.  Every process that computes
-    runs BLAS on one thread (a serial caller for the block, its OpenBLAS
-    count restored on exit; each pool worker for good; a pooled caller
-    computes nothing), so parallelism comes only from ``workers``, an
-    integer >= 1.  Where numpy bundles no OpenBLAS nothing is pinned,
-    which the first such block in a process says on stderr.
+    runs BLAS on one thread (a serial caller while any of its serial
+    blocks is open, in any thread, its OpenBLAS count restored when the
+    last one closes; each pool worker for good; a pooled caller computes
+    nothing), so parallelism comes only from ``workers``, an integer >= 1.
+    Where numpy bundles no OpenBLAS nothing is pinned, which the first
+    such block in a process says on stderr.  The pool's modules are
+    imported only when a pool opens, so a serial process never loads them.
     """
     workers = _value(int, workers, "workers")
     if workers < 1:
@@ -534,19 +568,16 @@ def _mapper(workers: int, cfg: ExperimentConfig):
     token = _run.set((cfg, {}))
     try:
         if workers > 1:
+            # imported here, so a process that opens no pool loads none of its modules
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                      initargs=(cfg,)) as pool:
                 yield pool.map
         elif threads is None:
             yield map
         else:
-            get_threads, set_threads = threads
-            before = get_threads()
-            set_threads(1)
-            try:
+            with _BLAS_PIN.held(*threads):
                 yield map
-            finally:
-                set_threads(before)
     finally:
         _run.reset(token)
 

@@ -1110,6 +1110,21 @@ def test_a_pooled_run_leaves_numpy_random_unloaded_in_the_parent(tiny_cfg):
     assert done.stdout.split() == [str(len(tiny_cfg.seeds)), "False"]
 
 
+def test_only_a_pooled_run_loads_the_process_pool(tiny_cfg):
+    # a fresh interpreter, since this one has opened pools already
+    code = ("import json, sys\n"
+            "import unlearnlab as ul, unlearnlab.cli\n"
+            "cfg = ul.config_from_dict(json.loads(sys.argv[1]))\n"
+            "for workers in (1, 2):\n"
+            "    ul.run_experiment(cfg, workers)\n"
+            "    print('concurrent.futures.process' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(ul.__file__))
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(ul.config_to_dict(tiny_cfg))],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.split() == ["False", "True"]
+
+
 def test_no_job_or_unit_of_a_pooled_run_carries_data_or_references(tiny_cfg, monkeypatch):
     real, carried, models = harness._mapper, set(), []
 
@@ -1228,14 +1243,28 @@ def test_a_rewritten_csv_is_read_again(tiny_cfg, tmp_path, monkeypatch):
 # ------------------------------------------------------------- the open run
 
 
-def test_threads_running_two_configs_each_get_a_lone_runs_rows(tiny_cfg):
-    # each thread opens its own runs, so neither is served the other's data
+def test_threads_running_two_configs_each_get_a_lone_runs_rows(tiny_cfg, monkeypatch,
+                                                               blas_threads):
+    # each thread opens its own runs, so neither is served the other's data;
+    # their overlapping serial blocks share one BLAS pin, so every training
+    # runs on one thread and the last block out restores the count
+    get = blas_threads
     cfgs = [tiny_cfg, replace(tiny_cfg, forget_fraction=0.3)]
     lone = [ul.run_experiment(cfg).rows for cfg in cfgs]
-    with ThreadPoolExecutor(max_workers=2) as threads:
-        got = list(threads.map(lambda cfg: [ul.run_experiment(cfg).rows for _ in range(5)],
-                               cfgs))
-    assert got == [[rows] * 5 for rows in lone]
+    real, seen = harness.train, []
+
+    def recording(*args, **kwargs):
+        seen.append(get())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "train", recording)
+    for _ in range(3):
+        with ThreadPoolExecutor(max_workers=2) as threads:
+            got = list(threads.map(lambda cfg: [ul.run_experiment(cfg).rows for _ in range(5)],
+                                   cfgs))
+        assert got == [[rows] * 5 for rows in lone]
+        assert seen and set(seen) == {1}
+        assert get() == 2
 
 
 @pytest.mark.parametrize("workers", [1, 2])

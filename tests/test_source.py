@@ -65,6 +65,30 @@ def test_the_runtime_needs_numpy_alone():
     assert sorted(top - set(sys.stdlib_module_names)) == ["numpy"]
 
 
+def load_time_imports(path):
+    """The dotted name of everything imported outside a function body: the
+    module, or for a ``from`` import the module's imported name."""
+    todo = list(parsed(path).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+        todo.extend(ast.iter_child_nodes(node))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_loads_the_process_pool_on_import(path):
+    # the pool's modules cost about 1 MB; only a run that opens a pool pays it
+    pool = ("concurrent.futures", "multiprocessing")
+    found = [name for name in load_time_imports(path)
+             if any(name == top or name.startswith(top + ".") for top in pool)]
+    assert found == []
+
+
 # unlearnlab's public names that are not modules; a split or move in src
 # must keep every one of them
 PUBLIC_NAMES = [
