@@ -42,12 +42,17 @@ from .unlearn import METHODS, unlearn
 
 def _config_from_args(args):
     """The config file (or the defaults) with the command line's
-    overrides applied; ``--seed`` replaces the configured seeds."""
+    overrides: ``--seed`` and ``--method`` keep only that seed or method."""
     cfg = load_config(args.config) if args.config else default_config()
     if args.forget_fraction is not None:
         cfg = replace(cfg, forget_fraction=args.forget_fraction)
     if args.seed is not None:
         cfg = replace(cfg, seeds=(args.seed,))
+    method = getattr(args, "method", None)  # train and evaluate have no --method
+    if method is not None:
+        if method not in cfg.methods:
+            raise ValueError(f"method {method!r} not enabled in config")
+        cfg = replace(cfg, methods={method: cfg.methods[method]})
     return cfg
 
 
@@ -61,8 +66,8 @@ def _acc_line(name, report) -> str:
 def cmd_train(args) -> int:
     cfg = _config_from_args(args)
     seed = cfg.seeds[0]
-    with _mapper(1, cfg) as pmap:
-        ctx = prepare_seed(cfg, seed, with_references=False, pmap=pmap)
+    with _mapper(1, cfg):
+        ctx = prepare_seed(cfg, seed, with_references=False)
     os.makedirs(args.out, exist_ok=True)
     for name, model in (("base", ctx.base_model), ("retrain", ctx.retrain_model)):
         path = os.path.join(args.out, f"{name}_seed{seed}.ckpt")
@@ -74,10 +79,9 @@ def cmd_train(args) -> int:
 def cmd_unlearn(args) -> int:
     cfg = _config_from_args(args)
     seed = cfg.seeds[0]
-    cfg = _restrict_methods(cfg, args.method)
     ucfg = method_grid_configs(cfg, args.method, seed)[0]
-    with _mapper(1, cfg) as pmap:
-        ctx = prepare_seed(cfg, seed, with_references=False, pmap=pmap)
+    with _mapper(1, cfg):
+        ctx = prepare_seed(cfg, seed, with_references=False)
         model = unlearn(ctx.base_model, ctx.splits, ctx.pool, ucfg)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"{args.method}_seed{seed}.ckpt")
@@ -93,8 +97,8 @@ def cmd_evaluate(args) -> int:
     # a bad one fails at once
     names = checkpoint_row_names(args.checkpoints)
     models = [(name, load_checkpoint(path)) for name, path in zip(names, args.checkpoints)]
-    with _mapper(1, cfg) as pmap:
-        ctx = prepare_seed(cfg, seed, pmap=pmap)
+    with _mapper(1, cfg):
+        ctx = prepare_seed(cfg, seed)
         base, retrain = score_base_and_retrain(ctx)
         rows = [base, retrain]
         for name, model in models:
@@ -108,26 +112,17 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _restrict_methods(cfg, method):
-    if method is None:
-        return cfg
-    if method not in cfg.methods:
-        raise ValueError(f"method {method!r} not enabled in config")
-    return replace(cfg, methods={method: cfg.methods[method]})
-
-
-def _run_from_args(args):
-    """Run the experiment for run/sweep; failed seeds go to stderr."""
-    cfg = _config_from_args(args)
-    cfg = _restrict_methods(cfg, args.method)
+def _run_from_args(args, cfg):
+    """Run ``cfg`` for run/sweep; failed seeds go to stderr."""
     result = run_experiment(cfg, workers=args.workers)
     for f in result.failures:
         print(f"seed {f.seed} failed at {f.stage}: {f.error}", file=sys.stderr)
-    return cfg, result
+    return result
 
 
 def cmd_run(args) -> int:
-    cfg, result = _run_from_args(args)
+    cfg = _config_from_args(args)
+    result = _run_from_args(args, cfg)
     paths = write_report(result, args.out)
     for agg in result.aggregates:
         m, s = agg.stats["test_acc"], agg.stats["rmia_auc"]
@@ -140,12 +135,14 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg, result = _run_from_args(args)
-    if not result.contexts:
-        return 1
-    write_report(result, args.out)  # so a failing sweep keeps the run's report
-    points = sweep_tradeoff(cfg, args.method, DEFAULT_SWEEP_WS, result=result,
-                            workers=args.workers)
+    cfg = _config_from_args(args)
+    with _mapper(args.workers, cfg):  # one pool and one load of the data for both
+        result = _run_from_args(args, cfg)
+        if not result.contexts:
+            return 1
+        write_report(result, args.out)  # so a failing sweep keeps the run's report
+        points = sweep_tradeoff(cfg, args.method, DEFAULT_SWEEP_WS, result=result,
+                                workers=args.workers)
     paths = write_report(result, args.out, sweep_points=points)
     for p in points:
         print(f"w={p.w:g}: test {p.test_acc_mean:.2f}+-{p.test_acc_std:.2f}  "

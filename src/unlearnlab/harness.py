@@ -175,17 +175,17 @@ class SeedContext:
     ref_means: dict | None = field(repr=False)
 
 
-# The open run of this thread's context: its config and {seed: (pool,
-# splits)} of each seed loaded so far.  Only ``_mapper`` sets it, for its
-# block, and ``_init_worker``, for a pool worker's life; a thread sees
-# only the runs it opened.
+# The open run of this thread's context: its config, {seed: (pool,
+# splits)} of each seed loaded so far, and its map.  Only ``_mapper``
+# sets it, for its block, and ``_init_worker``, for a pool worker's
+# life; a thread sees only the runs it opened.
 _run = ContextVar("_run")
 
 
 def _seed_data(seed: int):
     """The seed's (pool, splits) in the open run, generated or loaded
     and checked there at most once."""
-    cfg, loaded = _run.get()
+    cfg, loaded, _ = _run.get()
     if seed not in loaded:
         if cfg.gen is not None:
             pool = generate_gaussian_mixture(replace(cfg.gen, seed=derive_seed(seed, "data")))
@@ -249,8 +249,7 @@ def _reference_rows(cfg: ExperimentConfig, seed: int, pool: Dataset,
     return pool, np.sort(ref_rng.choice(splits.retain, size=half, replace=False))
 
 
-def prepare_seed(cfg: ExperimentConfig, seed: int, with_references: bool = True,
-                 pmap=None) -> SeedContext:
+def prepare_seed(cfg: ExperimentConfig, seed: int, with_references: bool = True) -> SeedContext:
     """Data, splits, base model, retrain oracle, and reference models.
 
     The base model trains on forget + retain; validation and held-out
@@ -262,21 +261,17 @@ def prepare_seed(cfg: ExperimentConfig, seed: int, with_references: bool = True,
 
     The work runs as one round of jobs, each frozen model trained and
     forwarded by its own job (``_train_frozen``), in the order base,
-    retrain, references.  ``pmap`` is the map of the open ``_mapper``
-    block of this same ``cfg`` object, its run's built-in map or process
-    pool; any other map raises ValueError.  Without one, the call runs
-    in a serial run of its own, so the data is loaded afresh, once.  A
-    job takes the seed's data from its process's open run, so each
-    process loads it at most once per run and no dataset is sent to a
-    job; the base job returns the context's copy.  The caller only
-    averages the references' vectors, so under a process pool it
-    forwards nothing, which keeps its peak memory down.  A failing job
-    raises its own error, the first in job order.
+    retrain, references, in a ``_mapper`` block of ``cfg``: it joins an
+    open run of this same ``cfg`` object, built-in map or process pool, or
+    else opens a serial run of its own, which loads the data afresh, once.
+    A job takes the seed's data from its process's open run, so each
+    process loads it at most once per run and no dataset is sent to a job;
+    the base job returns the context's copy.  The caller only averages the
+    references' vectors, so under a process pool it forwards nothing, which
+    keeps its peak memory down.  A failing job raises its own error, the
+    first in job order.
     """
-    run = _run.get(None)
-    if pmap is not None and (run is None or run[0] is not cfg):
-        raise ValueError("pmap must be the map of the open run of this config")
-    with nullcontext(pmap) if pmap is not None else _mapper(1, cfg) as pmap:
+    with _mapper(1, cfg) as pmap:
         jobs = range(2 + (cfg.rmia_refs if with_references else 0))
         models, preds, data = zip(*pmap(partial(_train_frozen, cfg, seed), jobs))
     ref_means = {s: _reference_mean([p[s] for p in preds[2:]])
@@ -496,7 +491,7 @@ def _init_worker(cfg: ExperimentConfig) -> None:
     variable is read only when numpy loads, which under fork has already
     happened, so the count is set through the library itself.
     """
-    _run.set((cfg, {}))
+    _run.set((cfg, {}, map))
     threads = _openblas_threads()
     if threads is not None:
         _, set_threads = threads
@@ -543,43 +538,49 @@ _BLAS_PIN = _BlasPin()
 
 @contextmanager
 def _mapper(workers: int, cfg: ExperimentConfig):
-    """The run of ``cfg`` for the block: the built-in ``map`` for one
-    worker, else the ``map`` of one process pool; results come back in
-    input order either way.
+    """The run of ``cfg`` for the block, and its map: the built-in ``map``
+    for one worker, else the ``map`` of one process pool; results come
+    back in input order either way.
 
-    The block is the open run of ``cfg`` in the caller's context, and
-    each pool worker opens one from its initializer (see _init_worker);
-    ``_seed_data`` keeps each seed's data there.  On exit the run open
-    before, if any, is the open one again.  Every process that computes
-    runs BLAS on one thread (a serial caller while any of its serial
-    blocks is open, in any thread, its OpenBLAS count restored when the
-    last one closes; each pool worker for good; a pooled caller computes
-    nothing), so parallelism comes only from ``workers``, an integer >= 1.
-    Where numpy bundles no OpenBLAS nothing is pinned, which the first
-    such block in a process says on stderr.  The pool's modules are
-    imported only when a pool opens, so a serial process never loads them.
+    A block inside an open run of this same ``cfg`` object joins it: it
+    yields that run's map and opens no pool, pin or data table, so the
+    outermost block of a command decides the processes.  Otherwise the
+    block opens the run of ``cfg`` in the caller's context, and each pool
+    worker one from its initializer (see _init_worker); ``_seed_data``
+    keeps each seed's data there.  On exit the run open before, if any, is
+    the open one again.  Every process that computes runs BLAS on one
+    thread (a serial caller while any of its serial blocks is open, in any
+    thread, its OpenBLAS count restored when the last one closes; each pool
+    worker for good; a pooled caller computes nothing), so parallelism
+    comes only from ``workers``, an integer >= 1.  Where numpy bundles no
+    OpenBLAS nothing is pinned, which the first such block in a process
+    says on stderr.  The pool's modules are imported only when a pool
+    opens, so a serial process never loads them.
     """
     workers = _value(int, workers, "workers")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    run = _run.get(None)
+    if run is not None and run[0] is cfg:
+        yield run[2]
+        return
     threads = _openblas_threads()
     if threads is None:
         _say_blas_is_unpinned()
-    token = _run.set((cfg, {}))
-    try:
-        if workers > 1:
-            # imported here, so a process that opens no pool loads none of its modules
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                     initargs=(cfg,)) as pool:
-                yield pool.map
-        elif threads is None:
-            yield map
-        else:
-            with _BLAS_PIN.held(*threads):
-                yield map
-    finally:
-        _run.reset(token)
+    if workers > 1:
+        # imported here, so a process that opens no pool loads none of its modules
+        from concurrent.futures import ProcessPoolExecutor
+        opened = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                     initargs=(cfg,))
+    else:
+        opened = nullcontext() if threads is None else _BLAS_PIN.held(*threads)
+    with opened as pool:
+        pmap = map if pool is None else pool.map
+        token = _run.set((cfg, {}, pmap))
+        try:
+            yield pmap
+        finally:
+            _run.reset(token)
 
 
 def _combo_key(config: UnlearnConfig) -> tuple:
@@ -652,19 +653,19 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunResult:
     order, then each prepared seed's base/retrain pair and method grids
     through ``_score``.  Every process that computes runs BLAS on one
     thread (see ``_mapper``).  ``workers`` > 1 runs it all on one process
-    pool, which gets the config once: ``prepare_seed`` sends each seed's
-    frozen-model trainings to it as separate jobs, so even one seed keeps
-    the workers busy, and each worker loads a seed's data at most once.
-    Results are reduced in seed, then grid order, so parallel and serial
-    runs produce identical reports.  A seed whose preparation or
-    any unit fails is recorded with its first failure in that order and
-    skipped; the rest of the run proceeds.
+    pool, which gets the config once: ``prepare_seed`` joins the run and
+    sends each seed's frozen-model trainings to it as separate jobs, so
+    even one seed keeps the workers busy, and each worker loads a seed's
+    data at most once.  Results are reduced in seed, then grid order, so
+    parallel and serial runs produce identical reports.  A seed whose
+    preparation or any unit fails is recorded with its first failure in
+    that order and skipped; the rest of the run proceeds.
     """
     with _mapper(workers, cfg) as pmap:
         prepared = []
         for seed in sorted(cfg.seeds):
             try:  # by its module name, which the tracer and tests patch
-                prepared.append(prepare_seed(cfg, seed, pmap=pmap))
+                prepared.append(prepare_seed(cfg, seed))
             except Exception as exc:  # seed isolation barrier
                 prepared.append(SeedFailure(seed, "prepare", f"{type(exc).__name__}: {exc}"))
         scored = _score(pmap, workers, [
@@ -715,12 +716,14 @@ def sweep_tradeoff(cfg: ExperimentConfig, method: str, w_grid,
     The non-w hyperparameters are the ones selection picked for the
     method (lr, gamma); pass ``result`` to reuse an existing run's
     models and the points in its grid, otherwise the experiment is run
-    first.  The other points are scored through ``_score``, whose
-    processes load the run's data afresh.  The first failing point in w,
-    then seed order raises ValueError naming its seed and stage; a
-    repeated w raises ValueError up front, as a repeated grid value
-    does, and so does a ``result`` run on another config than ``cfg``.
-    Returns one SweepPoint per w in grid order.
+    first.  That run and the scoring of the other points (``_score``)
+    share one ``_mapper`` block of ``cfg``, which joins an open run of
+    this same ``cfg`` object; given a ``result`` and no such run, it
+    loads the data afresh.  The first failing point in w, then seed
+    order raises ValueError naming its seed and stage; a repeated w
+    raises ValueError up front, as a repeated grid value does, and so
+    does a ``result`` run on another config than ``cfg``.  Returns one
+    SweepPoint per w in grid order.
     """
     if result is not None and config_to_dict(result.config) != config_to_dict(cfg):
         raise ValueError("result was run on another config than the sweep's")
@@ -733,21 +736,21 @@ def sweep_tradeoff(cfg: ExperimentConfig, method: str, w_grid,
         raise ValueError(f"ws must be non-empty and lie in [0, 1], got {ws!r}")
     if len(set(ws)) != len(ws):
         raise ValueError(f"ws must be distinct, got {ws!r}")
-    if result is None:
-        result = run_experiment(cfg, workers=workers)
-    if method not in result.selected:
-        raise ValueError(f"no grid results for {method!r} to anchor the sweep")
-    anchor = result.selected[method]
-    retrain_rows = {r.seed: r for r in result.rows if r.method == "retrain"}
-    seeds = sorted(result.contexts)
-    wanted = {(w, seed): replace(anchor, w=w, seed=derive_seed(seed, "unlearn"))
-              for w in ws for seed in seeds}
-    found = {gr.config: gr.report for gr in result.grid}
-    with _mapper(workers, result.config) as pmap:
+    with _mapper(workers, cfg) as pmap:
+        if result is None:
+            result = run_experiment(cfg, workers=workers)
+        if method not in result.selected:
+            raise ValueError(f"no grid results for {method!r} to anchor the sweep")
+        anchor = result.selected[method]
+        seeds = sorted(result.contexts)
+        wanted = {(w, seed): replace(anchor, w=w, seed=derive_seed(seed, "unlearn"))
+                  for w in ws for seed in seeds}
+        found = {gr.config: gr.report for gr in result.grid}
         found.update((point, outcome) for _, point, outcome in _score(pmap, workers, [
             (result.contexts[seed], [wanted[w, seed] for w in ws if wanted[w, seed] not in found])
             for seed in seeds]))
 
+    retrain_rows = {r.seed: r for r in result.rows if r.method == "retrain"}
     points = []
     for w in ws:
         column = [found[wanted[w, seed]] for seed in seeds]  # a missing point follows a failure

@@ -498,10 +498,10 @@ def test_run_contexts_keyed_by_seed(tiny_cfg, tiny_run):
 def test_run_isolates_a_failing_seed(tiny_cfg, monkeypatch):
     real = harness.prepare_seed
 
-    def flaky(cfg, seed, with_references=True, pmap=map):
+    def flaky(cfg, seed, with_references=True):
         if seed == tiny_cfg.seeds[1]:
             raise RuntimeError("synthetic failure")
-        return real(cfg, seed, with_references, pmap)
+        return real(cfg, seed, with_references)
 
     monkeypatch.setattr(harness, "prepare_seed", flaky)
     result = ul.run_experiment(tiny_cfg)
@@ -711,6 +711,15 @@ def test_a_sweep_without_a_run_runs_the_experiment_first(tiny_cfg, tiny_run):
     alone = ul.sweep_tradeoff(tiny_cfg, "regun", ws)
     assert alone == ul.sweep_tradeoff(tiny_cfg, "regun", ws, result=tiny_run)
     assert [p.w for p in alone] == list(ws)
+
+
+def test_a_pooled_sweep_without_a_run_runs_it_on_its_own_pool(tiny_cfg, tiny_run,
+                                                              monkeypatch):
+    ws = (0.3, 0.7)
+    opened = _count_pools(monkeypatch)
+    alone = ul.sweep_tradeoff(tiny_cfg, "regun", ws, workers=2)
+    assert opened == [2]
+    assert alone == ul.sweep_tradeoff(tiny_cfg, "regun", ws, result=tiny_run)
 
 
 def test_a_sweep_refuses_a_run_of_another_config(tiny_cfg, tiny_run):
@@ -1082,16 +1091,20 @@ def test_pooled_preparation_matches_prepare_seed_bit_for_bit(tiny_cfg):
 
 @pytest.mark.parametrize("with_references", [True, False])
 def test_prepare_seed_maps_the_data_job_then_one_job_per_frozen_model(
-        tiny_cfg, with_references):
-    rounds = []
+        tiny_cfg, monkeypatch, with_references):
+    real, rounds = harness._mapper, []
 
-    def recording(fn, *iterables):
-        jobs = list(zip(*iterables))
-        rounds.append(len(jobs))
-        return [fn(*job) for job in jobs]
+    @contextmanager
+    def recording(*args, **kwargs):
+        with real(*args, **kwargs):
+            def counted(fn, *iterables):
+                jobs = list(zip(*iterables))
+                rounds.append(len(jobs))
+                return [fn(*job) for job in jobs]
+            yield counted
 
-    with harness._mapper(1, tiny_cfg):
-        ctx = ul.prepare_seed(tiny_cfg, 0, with_references, pmap=recording)
+    monkeypatch.setattr(harness, "_mapper", recording)
+    ctx = ul.prepare_seed(tiny_cfg, 0, with_references)
     refs = tiny_cfg.rmia_refs if with_references else 0
     assert rounds == [2 + refs]  # the data is loaded by the jobs, not a round of its own
     assert len(ctx.references) == refs
@@ -1217,6 +1230,26 @@ def _count_load_csv(monkeypatch):
     return paths
 
 
+def _count_pools(monkeypatch):
+    """The list each process pool opened from now on appends its size to."""
+    futures = importlib.import_module("concurrent.futures")
+    real, opened = futures.ProcessPoolExecutor, []
+
+    class Counted(real):
+        def __init__(self, *args, **kwargs):
+            opened.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", Counted)
+    return opened
+
+
+def _config_file(cfg, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(ul.config_to_dict(cfg)))
+    return str(path)
+
+
 def test_a_serial_csv_run_parses_each_file_once_per_seed(tiny_cfg, tmp_path, monkeypatch):
     cfg = _csv_config(tiny_cfg, tmp_path)
     paths = _count_load_csv(monkeypatch)
@@ -1238,6 +1271,24 @@ def test_a_rewritten_csv_is_read_again(tiny_cfg, tmp_path, monkeypatch):
     want = ul.generate_gaussian_mixture(replace(tiny_cfg.gen, seed=7))
     assert np.array_equal(again.pool.labels, want.labels)
     assert not np.array_equal(again.base_model.theta, first.base_model.theta)
+
+
+def test_a_serial_cli_sweep_parses_each_csv_once_per_seed(tiny_cfg, tmp_path, monkeypatch):
+    # the sweep scores on the data its run loaded
+    cfg = _csv_config(tiny_cfg, tmp_path)
+    argv = ["sweep", "--config", _config_file(cfg, tmp_path), "--out", str(tmp_path / "out")]
+    paths = _count_load_csv(monkeypatch)
+    assert cli.main(argv) == 0
+    assert paths == [cfg.pool_csv, cfg.test_csv] * len(cfg.seeds)
+
+
+def test_a_pooled_cli_sweep_opens_one_pool(tiny_cfg, tmp_path, monkeypatch):
+    # the run and its sweep share the command's pool
+    argv = ["sweep", "--config", _config_file(tiny_cfg, tmp_path), "--workers", "2",
+            "--out", str(tmp_path / "out")]
+    opened = _count_pools(monkeypatch)
+    assert cli.main(argv) == 0
+    assert opened == [2]
 
 
 # ------------------------------------------------------------- the open run
@@ -1265,16 +1316,6 @@ def test_threads_running_two_configs_each_get_a_lone_runs_rows(tiny_cfg, monkeyp
         assert got == [[rows] * 5 for rows in lone]
         assert seen and set(seen) == {1}
         assert get() == 2
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_prepare_seed_refuses_a_map_of_another_run(tiny_cfg, workers):
-    other = replace(tiny_cfg, forget_fraction=0.3)
-    with harness._mapper(workers, tiny_cfg) as pmap:
-        with pytest.raises(ValueError, match="pmap must be the map of the open run"):
-            ul.prepare_seed(other, 0, pmap=pmap)
-    with pytest.raises(ValueError, match="pmap must be the map of the open run"):
-        ul.prepare_seed(tiny_cfg, 0, pmap=map)
 
 
 def test_no_run_stays_open_after_it_returns(tiny_cfg, monkeypatch):

@@ -190,3 +190,17 @@ def test_only_the_mapper_and_the_pool_initializer_open_a_run():
             owners = [f.name for f in functions if any(n is call for n in ast.walk(f))]
             found.append(f"{path.name}:{owners[-1] if owners else '<module>'}")
     assert sorted(found) == ["harness.py:_init_worker", "harness.py:_mapper"]
+
+
+def test_only_the_scoring_round_takes_a_map():
+    # every other block joins its open run's map (see harness._mapper), so
+    # no caller can hand a function the map of another run
+    found = []
+    for path in SOURCES:
+        for fn in ast.walk(parsed(path)):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = fn.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                if any(p is not None and p.arg == "pmap" for p in params):
+                    found.append(f"{path.name}:{fn.name}")
+    assert found == ["harness.py:_score"]
